@@ -85,13 +85,24 @@ def load_settings(path: str | Path | None = None) -> Settings:
     ):
         if key in raw:
             setattr(settings, key, raw[key])
-    for entry in raw.get("profiles", []):
-        profile = LanguageProfile(
-            name=entry["name"],
-            line_comment_token=entry["line_comment_token"],
-            docstring_rule=entry.get("docstring_rule", "none"),
-        )
-        settings.profiles[profile.name] = profile
+    for key, valid, expected in (
+        ("temperature", lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
+        ("max_output", lambda v: v is None or type(v) is int, "an integer or null"),
+        ("record", lambda v: type(v) is bool, "true or false"),
+    ):
+        value = getattr(settings, key)
+        if not valid(value):
+            raise ConfigError(f"{key} must be {expected}, not {value!r}")
+    try:
+        for entry in raw.get("profiles", []):
+            profile = LanguageProfile(
+                name=entry["name"],
+                line_comment_token=entry["line_comment_token"],
+                docstring_rule=entry.get("docstring_rule", "none"),
+            )
+            settings.profiles[profile.name] = profile
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed profiles list: {exc!r}") from exc
     return settings
 
 

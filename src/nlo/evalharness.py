@@ -9,9 +9,9 @@ average statement count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .fanout import fan_out
 from .gateway import Backend
 from .generation import PromptConfig, generate_outline
 from .source_model import SourceUnit
@@ -67,11 +67,7 @@ def evaluate_corpus(
         backend, technique, config, unit = job
         return backend, technique, generate_outline(unit, config, backend)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = fan_out(run, jobs, max_workers)
 
     buckets: dict[tuple[str, str], dict[str, int]] = {}
     statements: dict[tuple[str, str], int] = {}

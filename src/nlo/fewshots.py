@@ -12,7 +12,7 @@ import re
 from importlib import resources
 from pathlib import Path
 
-from .generation import FewShotExample
+from .generation import FewShotExample, _scan_records
 from .outline import Outline, OutlineStatement
 from .source_model import (
     C_LIKE_PROFILE,
@@ -28,15 +28,12 @@ _GOLD_LINE = re.compile(r"(\d+)\| ?(.*)")
 
 def parse_gold_outline(text: str) -> Outline:
     """Strict reader for hand-written outline files; malformed lines raise."""
-    statements = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _GOLD_LINE.fullmatch(line)
-        if match is None or not match.group(2).strip():
-            raise ValueError(f"outline line {lineno} is malformed: {line!r}")
-        statements.append(OutlineStatement(int(match.group(1)), match.group(2)))
-    return Outline(statements=tuple(statements))
+    records, issues = _scan_records(text, _GOLD_LINE, None)
+    if issues:
+        lineno = issues[0].location
+        line = text.splitlines()[lineno - 1]
+        raise ValueError(f"outline line {lineno} is malformed: {line!r}")
+    return Outline(statements=tuple(OutlineStatement(a, t) for a, t, _ in records))
 
 
 def _data_root() -> Path:

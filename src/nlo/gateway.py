@@ -291,7 +291,10 @@ class HttpBackend:
         status = getattr(response, "status_code", 200)
         if status >= 400:
             raise BackendError(f"backend returned HTTP {status}")
-        body = response.json()
+        try:
+            body = response.json()
+        except ValueError as exc:  # also requests' JSONDecodeError
+            raise BackendError(f"backend response is not JSON: {exc}") from exc
         try:
             return _walk(body, self.config.response_path)
         except (KeyError, IndexError, TypeError) as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .gateway import Backend, ChatPrompt, GenerationRequest, complete
 from .outline import Outline, OutlineStatement, validate
+from .outline import _comment_text, _interleave, _joined
 from .source_model import (
     COMMENT_CLASSES,
     LanguageProfile,
@@ -186,20 +187,12 @@ def infill_text(outline: Outline) -> str:
 def plain_comment_render(unit: SourceUnit, outline: Outline) -> str:
     """Interleave statements as ordinary line comments (the response format
     models produce; star syntax is applied only when storing outlines)."""
-    violations = validate(outline, unit)
-    if violations:
-        from .errors import PlacementError
-
-        raise PlacementError(violations)
     token = unit.profile.line_comment_token
-    by_anchor = {s.anchor: s for s in outline.statements}
-    out: list[str] = []
-    for i, line in enumerate(unit.lines, start=1):
-        stmt = by_anchor.get(i)
-        if stmt is not None:
-            out.append(f"{leading_whitespace(line)}{token} {stmt.text}")
-        out.append(line)
-    return "\n".join(out)
+
+    def comment_line(stmt: OutlineStatement) -> str:
+        return f"{leading_whitespace(unit.line(stmt.anchor))}{token} {stmt.text}"
+
+    return "\n".join(_interleave(unit, outline, comment_line))
 
 
 def build_prompt(unit: SourceUnit, config: PromptConfig) -> ChatPrompt:
@@ -259,13 +252,7 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
                     detail=f"{len(pending)} consecutive comments joined",
                 )
             )
-        statements.append(
-            OutlineStatement(
-                anchor=anchor,
-                text=" ".join(t for t, _ in pending),
-                verified=all(v for _, v in pending),
-            )
-        )
+        statements.append(_joined(anchor, pending))
         pending.clear()
 
     p = o = 0
@@ -391,22 +378,6 @@ def _strip_code_fence(response: str) -> list[str]:
     return lines[first + 1 :]
 
 
-def _comment_text(
-    profile: LanguageProfile, line: str, cls: LineClass
-) -> tuple[str, bool]:
-    verified = cls is LineClass.VERIFIED_STAR_COMMENT
-    if verified:
-        prefix = profile.verified_prefix
-    elif cls is LineClass.STAR_COMMENT:
-        prefix = profile.star_prefix
-    else:
-        prefix = profile.line_comment_token
-    text = line.lstrip()[len(prefix):]
-    if text.startswith(" "):
-        text = text[1:]
-    return text, verified
-
-
 def _drop_trailing_comment(profile: LanguageProfile, line: str) -> str:
     token = profile.line_comment_token
     for sep in (" " + token, "\t" + token):
@@ -416,9 +387,79 @@ def _drop_trailing_comment(profile: LanguageProfile, line: str) -> str:
     return line.rstrip()
 
 
-# --- Infilling response parsing ---------------------------------------------
+# --- Numbered-record reading -------------------------------------------------
 
 _INFILL_LINE = re.compile(r"\s*(\d+)\| ?(.*)")
+
+
+def _scan_records(
+    response: str, pattern: re.Pattern, limit: int | None
+) -> tuple[list[tuple], list[ParseIssue]]:
+    """Read one ``N|...|text`` record per non-blank response line.
+
+    ``pattern`` captures the integer fields, anchor first, then the text.
+    A line it does not match, or whose text is empty, is a
+    ``malformed_line``; an anchor outside ``1..limit`` (when there is a
+    limit) is ``line_number_out_of_bounds``.  Both are skipped.  Each record
+    is its integer fields, its text, then its 1-based response line.
+    """
+    records: list[tuple] = []
+    issues: list[ParseIssue] = []
+    for lineno, line in enumerate(response.splitlines(), start=1):
+        if not line.strip():
+            continue
+        match = pattern.fullmatch(line)
+        *numbers, text = match.groups() if match else ("",)
+        if not text.strip():
+            issues.append(
+                ParseIssue(
+                    "malformed_line",
+                    location=lineno,
+                    detail=f"response line {lineno}: {line.strip()!r}",
+                )
+            )
+            continue
+        numbers = [int(n) for n in numbers]
+        anchor = numbers[0]
+        if limit is not None and not 1 <= anchor <= limit:
+            issues.append(
+                ParseIssue(
+                    "line_number_out_of_bounds",
+                    location=lineno,
+                    detail=f"line number {anchor} outside 1..{limit}",
+                )
+            )
+            continue
+        records.append((*numbers, text, lineno))
+    return records, issues
+
+
+def _order_records(records: list[tuple], issues: list[ParseIssue]) -> list[tuple]:
+    """Sort records by anchor, their first field (minor ``not_sorted``), and
+    keep only the first record at each anchor (major
+    ``duplicate_line_number``)."""
+    anchors = [r[0] for r in records]
+    if any(b < a for a, b in zip(anchors, anchors[1:])):
+        issues.append(
+            ParseIssue("not_sorted", detail="line numbers were not ascending")
+        )
+        records = sorted(records, key=lambda r: r[0])
+    kept: list[tuple] = []
+    for record in records:
+        if kept and kept[-1][0] == record[0]:
+            issues.append(
+                ParseIssue(
+                    "duplicate_line_number",
+                    location=record[0],
+                    detail=f"duplicate line number {record[0]}; kept the first",
+                )
+            )
+            continue
+        kept.append(record)
+    return kept
+
+
+# --- Infilling response parsing ---------------------------------------------
 
 
 def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
@@ -429,43 +470,9 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
     anchor pointing at a blank line moves down to the next non-blank line
     (minor), since the blank belongs above the comment.
     """
-    issues: list[ParseIssue] = []
-    raw: list[tuple[int, str]] = []
-    for lineno, line in enumerate(response.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _INFILL_LINE.fullmatch(line)
-        if match is None or not match.group(2).strip():
-            issues.append(
-                ParseIssue(
-                    "malformed_line",
-                    location=lineno,
-                    detail=f"response line {lineno}: {line.strip()!r}",
-                )
-            )
-            continue
-        anchor = int(match.group(1))
-        if not 1 <= anchor <= len(original):
-            issues.append(
-                ParseIssue(
-                    "line_number_out_of_bounds",
-                    location=lineno,
-                    detail=f"line number {anchor} outside 1..{len(original)}",
-                )
-            )
-            continue
-        raw.append((anchor, match.group(2)))
-
-    anchors = [a for a, _ in raw]
-    if any(b < a for a, b in zip(anchors, anchors[1:])):
-        issues.append(
-            ParseIssue("not_sorted", detail="line numbers were not ascending")
-        )
-        raw.sort(key=lambda pair: pair[0])
-    raw = _drop_duplicates(raw, issues)
-
+    records, issues = _scan_records(response, _INFILL_LINE, len(original))
     repaired: list[tuple[int, str]] = []
-    for anchor, text in raw:
+    for anchor, text, _ in _order_records(records, issues):
         if original.classify(anchor) is LineClass.BLANK:
             moved = _next_non_blank(original, anchor)
             if moved is None:
@@ -487,7 +494,7 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
             anchor = moved
         repaired.append((anchor, text))
     # Moving anchors off blank lines can collide with a later statement.
-    repaired = _drop_duplicates(repaired, issues)
+    repaired = _order_records(repaired, issues)
 
     if not repaired:
         issues.append(ParseIssue("empty_outline", detail="no statements parsed"))
@@ -497,24 +504,6 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
         ),
         issues=tuple(issues),
     )
-
-
-def _drop_duplicates(
-    pairs: list[tuple[int, str]], issues: list[ParseIssue]
-) -> list[tuple[int, str]]:
-    kept: list[tuple[int, str]] = []
-    for anchor, text in pairs:
-        if kept and kept[-1][0] == anchor:
-            issues.append(
-                ParseIssue(
-                    "duplicate_line_number",
-                    location=anchor,
-                    detail=f"duplicate line number {anchor}; kept the first",
-                )
-            )
-            continue
-        kept.append((anchor, text))
-    return kept
 
 
 def _next_non_blank(unit: SourceUnit, start: int) -> int | None:
@@ -592,10 +581,7 @@ def _first_body_line(unit: SourceUnit, span: tuple[int, int] | None) -> int | No
     if sig_end is None:
         return None
     start = span[1] if span is not None else sig_end
-    for i in range(start + 1, len(unit) + 1):
-        if unit.classify(i) is not LineClass.BLANK:
-            return i
-    return None
+    return _next_non_blank(unit, start + 1)
 
 
 def build_constraint(unit: SourceUnit) -> Constraint:

@@ -9,10 +9,12 @@ interleaved, each statement becomes a star comment (``#*`` / ``//*``, with
 from __future__ import annotations
 
 import difflib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DanglingCommentError, PlacementError
 from .source_model import (
+    LanguageProfile,
     LineClass,
     STAR_CLASSES,
     SourceUnit,
@@ -138,6 +140,14 @@ def render_interleaved(unit: SourceUnit, outline: Outline) -> SourceUnit:
     Original lines are preserved byte-identically and in order.
     Raises :class:`PlacementError` when the outline does not validate.
     """
+    lines = _interleave(unit, outline, lambda stmt: statement_comment_line(unit, stmt))
+    return SourceUnit(lines=tuple(lines), profile=unit.profile)
+
+
+def _interleave(unit: SourceUnit, outline: Outline, comment: Callable) -> list[str]:
+    """The unit's lines with ``comment(stmt)`` directly above each
+    statement's anchor; raises :class:`PlacementError` when the outline does
+    not validate."""
     violations = validate(outline, unit)
     if violations:
         raise PlacementError(violations)
@@ -146,9 +156,9 @@ def render_interleaved(unit: SourceUnit, outline: Outline) -> SourceUnit:
     for i, line in enumerate(unit.lines, start=1):
         stmt = by_anchor.get(i)
         if stmt is not None:
-            out.append(statement_comment_line(unit, stmt))
+            out.append(comment(stmt))
         out.append(line)
-    return SourceUnit(lines=tuple(out), profile=unit.profile)
+    return out
 
 
 def render_standalone(unit: SourceUnit, outline: Outline) -> str:
@@ -187,20 +197,11 @@ def extract(unit_with_comments: SourceUnit) -> tuple[SourceUnit, Outline]:
     for line in unit_with_comments.lines:
         cls = classify_line(profile, line)
         if cls in STAR_CLASSES:
-            verified = cls is LineClass.VERIFIED_STAR_COMMENT
-            prefix = profile.verified_prefix if verified else profile.star_prefix
-            text = line.lstrip()[len(prefix):]
-            if text.startswith(" "):
-                text = text[1:]
-            pending.append((text, verified))
+            pending.append(_comment_text(profile, line, cls))
             continue
         bare.append(line)
         if pending and cls is not LineClass.BLANK:
-            joined = " ".join(t for t, _ in pending)
-            verified = all(v for _, v in pending)
-            raw_statements.append(
-                OutlineStatement(anchor=len(bare), text=joined, verified=verified)
-            )
+            raw_statements.append(_joined(len(bare), pending))
             pending = []
     if pending:
         raise DanglingCommentError(
@@ -210,6 +211,32 @@ def extract(unit_with_comments: SourceUnit) -> tuple[SourceUnit, Outline]:
     return (
         SourceUnit(lines=tuple(bare), profile=profile),
         Outline(statements=tuple(raw_statements)),
+    )
+
+
+def _comment_text(
+    profile: LanguageProfile, line: str, cls: LineClass
+) -> tuple[str, bool]:
+    """A comment line's text without its prefix and one following space,
+    plus whether it is a verified star comment."""
+    verified = cls is LineClass.VERIFIED_STAR_COMMENT
+    if verified:
+        prefix = profile.verified_prefix
+    elif cls is LineClass.STAR_COMMENT:
+        prefix = profile.star_prefix
+    else:
+        prefix = profile.line_comment_token
+    text = line.lstrip()[len(prefix):]
+    if text.startswith(" "):
+        text = text[1:]
+    return text, verified
+
+
+def _joined(anchor: int, run: list[tuple[str, bool]]) -> OutlineStatement:
+    """One statement from a run of comment (text, verified) pairs: texts
+    joined by a single space, verified only when every part is."""
+    return OutlineStatement(
+        anchor=anchor, text=" ".join(t for t, _ in run), verified=all(v for _, v in run)
     )
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import html as html_lib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DiffParseError, TopicParseError
+from .fanout import fan_out
 from .gateway import Backend, ChatPrompt, GenerationRequest, complete
-from .generation import ParseIssue
+from .generation import ParseIssue, _order_records, _scan_records
 
 OTHER_CHANGES = "Other changes"
 
@@ -83,11 +85,15 @@ class FileDiff:
 
     def render_lines(self) -> list[str]:
         """The file's diff text, one entry per line."""
-        return [text for text, _ in self.render_kinds()]
+        return [text for text, _ in self._kinds]
 
     def render_kinds(self) -> list[tuple[str, str]]:
         """(text, kind) pairs; kinds: file_header, hunk_header, context,
         added, removed."""
+        return list(self._kinds)
+
+    @cached_property
+    def _kinds(self) -> tuple[tuple[str, str], ...]:
         out = [
             (f"--- {self.old_path}", "file_header"),
             (f"+++ {self.new_path}", "file_header"),
@@ -96,13 +102,13 @@ class FileDiff:
             out.append((hunk.header(), "hunk_header"))
             for marker, text in hunk.lines:
                 out.append((_MARKER_CHAR[marker] + text, marker))
-        return out
+        return tuple(out)
 
     def changed_positions(self) -> tuple[int, ...]:
         """1-based positions of added/removed lines within render_lines()."""
         return tuple(
             i
-            for i, (_, kind) in enumerate(self.render_kinds(), start=1)
+            for i, (_, kind) in enumerate(self._kinds, start=1)
             if kind in ("added", "removed")
         )
 
@@ -282,7 +288,7 @@ def change_run_starts(filediff: FileDiff) -> tuple[int, ...]:
     """First line of each maximal run of added/removed lines."""
     starts: list[int] = []
     previous_changed = False
-    for i, (_, kind) in enumerate(filediff.render_kinds(), start=1):
+    for i, (_, kind) in enumerate(filediff._kinds, start=1):
         changed = kind in ("added", "removed")
         if changed and not previous_changed:
             starts.append(i)
@@ -293,7 +299,7 @@ def change_run_starts(filediff: FileDiff) -> tuple[int, ...]:
 def number_diff(filediff: FileDiff) -> str:
     """Prefix every diff line with ``N|`` and append change-start hints."""
     numbered = "\n".join(
-        f"{i:>3}|{text}" for i, text in enumerate(filediff.render_lines(), start=1)
+        f"{i:>3}|{text}" for i, (text, _) in enumerate(filediff._kinds, start=1)
     )
     starts = change_run_starts(filediff)
     if not starts:
@@ -490,33 +496,11 @@ def parse_sections(
     other_index = next(
         t.index for t in topics if t.title.lower() == OTHER_CHANGES.lower()
     )
-    limit = len(filediff.render_lines())
-    issues: list[ParseIssue] = []
-    raw: list[tuple[int, int, str]] = []
-    for lineno, line in enumerate(response.splitlines(), start=1):
-        if not line.strip():
-            continue
-        match = _SECTION_LINE.fullmatch(line)
-        if match is None or not match.group(3).strip():
-            issues.append(
-                ParseIssue(
-                    "malformed_line",
-                    location=lineno,
-                    detail=f"response line {lineno}: {line.strip()!r}",
-                )
-            )
-            continue
-        anchor, topic_index = int(match.group(1)), int(match.group(2))
-        if not 1 <= anchor <= limit:
-            issues.append(
-                ParseIssue(
-                    "line_number_out_of_bounds",
-                    location=lineno,
-                    detail=f"diff line {anchor} outside 1..{limit}",
-                )
-            )
-            continue
-        if topic_index not in {t.index for t in topics}:
+    known = {t.index for t in topics}
+    records, issues = _scan_records(response, _SECTION_LINE, len(filediff._kinds))
+    remapped: list[tuple[int, int, str]] = []
+    for anchor, topic_index, description, lineno in records:
+        if topic_index not in known:
             issues.append(
                 ParseIssue(
                     "unknown_topic_index",
@@ -526,25 +510,10 @@ def parse_sections(
                 )
             )
             topic_index = other_index
-        raw.append((anchor, topic_index, match.group(3)))
-
-    anchors = [a for a, _, _ in raw]
-    if any(b < a for a, b in zip(anchors, anchors[1:])):
-        issues.append(ParseIssue("not_sorted", detail="section anchors not ascending"))
-        raw.sort(key=lambda triple: triple[0])
-    deduped: list[tuple[int, int, str]] = []
-    for anchor, topic_index, description in raw:
-        if deduped and deduped[-1][0] == anchor:
-            issues.append(
-                ParseIssue(
-                    "duplicate_line_number",
-                    location=anchor,
-                    detail=f"duplicate section anchor {anchor}; kept the first",
-                )
-            )
-            continue
-        deduped.append((anchor, topic_index, description))
-    sections = tuple(Section(a, d, t) for a, t, d in deduped)
+        remapped.append((anchor, topic_index, description))
+    sections = tuple(
+        Section(a, d, t) for a, t, d in _order_records(remapped, issues)
+    )
     return sections, tuple(issues)
 
 
@@ -592,16 +561,13 @@ def assemble_split(
     total = 0
     for filediff, sections in zip(cl.files, per_file_sections):
         ordered = sorted(sections, key=lambda s: s.anchor)
+        anchors = [s.anchor for s in ordered]
         buckets: dict[int, list[int]] = {i: [] for i in range(len(ordered))}
         orphans: list[int] = []
         for pos in filediff.changed_positions():
-            owner = None
-            for idx, section in enumerate(ordered):
-                if section.anchor <= pos:
-                    owner = idx
-                else:
-                    break
-            if owner is None:
+            # The last section anchored at or above pos owns it.
+            owner = bisect_right(anchors, pos) - 1
+            if owner < 0:
                 orphans.append(pos)
             else:
                 buckets[owner].append(pos)
@@ -661,11 +627,7 @@ def split_changelist(
             cl.description, filediff, topics, backend, temperature, max_output
         )
 
-    if max_workers > 1 and len(cl.files) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, cl.files))
-    else:
-        results = [one(f) for f in cl.files]
+    results = fan_out(one, cl.files, max_workers)
     sections = [sections for sections, _ in results]
     issues = tuple(
         (f.path, result[1]) for f, result in zip(cl.files, results)
@@ -737,39 +699,42 @@ def split_from_json(text: str) -> VirtualSplit:
 
 def render_split_report(split: VirtualSplit, cl: ChangeList) -> dict[str, str]:
     """Render the split as JSON, a terminal report, and a static HTML page."""
+    slices = _section_slices(split, cl)
     return {
         "json": split_to_json(split, cl),
-        "terminal": _terminal_report(split, cl),
-        "html": _html_report(split, cl),
+        "terminal": _terminal_report(split, cl, slices),
+        "html": _html_report(split, cl, slices),
     }
 
 
 _CONTEXT_AROUND = 3
 
 
-def _section_slices(split: VirtualSplit, cl: ChangeList, topic_index: int):
-    """(path, section, numbered lines, muted flags) for one topic's sections."""
+def _section_slices(split: VirtualSplit, cl: ChangeList) -> dict[int, list]:
+    """Topic index to its sections' (path, section, numbered lines with
+    muted flags), in file then section order."""
     files_by_path = {f.path: f for f in cl.files}
+    slices: dict[int, list] = {}
     for assignment in split.assignments:
-        filediff = files_by_path[assignment.path]
-        rendered = filediff.render_lines()
+        rendered = files_by_path[assignment.path].render_lines()
         anchors = sorted(s.anchor for s in assignment.sections)
         for section in assignment.sections:
-            if section.topic_index != topic_index:
-                continue
             start = max(section.anchor, 1)
-            following = [a for a in anchors if a > section.anchor]
-            end = (following[0] - 1) if following else len(rendered)
+            following = bisect_right(anchors, section.anchor)
+            end = anchors[following] - 1 if following < len(anchors) else len(rendered)
             low = max(1, start - _CONTEXT_AROUND)
             high = min(len(rendered), end + _CONTEXT_AROUND)
             lines = []
             for i in range(low, high + 1):
                 muted = not start <= i <= end
                 lines.append((f"{i:>3}|{rendered[i - 1]}", muted))
-            yield assignment.path, section, lines
+            slices.setdefault(section.topic_index, []).append(
+                (assignment.path, section, lines)
+            )
+    return slices
 
 
-def _terminal_report(split: VirtualSplit, cl: ChangeList) -> str:
+def _terminal_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
     out = [f"Virtual split: {cl.description}"]
     for topic in split.topics:
         out.append(
@@ -777,22 +742,21 @@ def _terminal_report(split: VirtualSplit, cl: ChangeList) -> str:
             f"({split.coverage_of(topic.index) * 100:.1f}% of changed lines)"
         )
     for topic in split.topics:
-        slices = list(_section_slices(split, cl, topic.index))
-        if not slices:
+        if topic.index not in slices:
             continue
         out.append("")
         out.append(
             f"=== {topic.index}. {topic.title} "
             f"({split.coverage_of(topic.index) * 100:.1f}%) ==="
         )
-        for path, section, lines in slices:
+        for path, section, lines in slices[topic.index]:
             out.append(f"--- {path}: {section.description}")
             for text, muted in lines:
                 out.append(("  ~ " if muted else "    ") + text)
     return "\n".join(out) + "\n"
 
 
-def _html_report(split: VirtualSplit, cl: ChangeList) -> str:
+def _html_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
     esc = html_lib.escape
     parts = [
         "<!DOCTYPE html>",
@@ -809,14 +773,13 @@ def _html_report(split: VirtualSplit, cl: ChangeList) -> str:
         )
     parts.append("</ol>")
     for topic in split.topics:
-        slices = list(_section_slices(split, cl, topic.index))
-        if not slices:
+        if topic.index not in slices:
             continue
         parts.append(
             f"<details open><summary>{topic.index}. {esc(topic.title)} "
             f"({split.coverage_of(topic.index) * 100:.1f}%)</summary>"
         )
-        for path, section, lines in slices:
+        for path, section, lines in slices[topic.index]:
             parts.append(f"<p><code>{esc(path)}</code>: {esc(section.description)}</p>")
             rendered = [
                 f"<span class='muted'>{esc(text)}</span>" if muted else esc(text)

@@ -156,6 +156,38 @@ class TestCustomProfile:
         assert out == "1| Set up the board.\n"
 
 
+class TestConfigAndBackendFailures:
+    @pytest.mark.parametrize(
+        "text",
+        ["temperature: hot\n", "profiles:\n  - name: lsp\n"],
+    )
+    def test_config_mistake_exits_1(self, capsys, tmp_path, sample_file, text):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
+        assert code == 1
+        assert err.startswith("nlo: config error:")
+
+    def test_non_json_body_exits_3(self, capsys, tmp_path, sample_file, monkeypatch):
+        requests = pytest.importorskip("requests")
+        response = requests.models.Response()
+        response.status_code = 200
+        response._content = b"<html>busy</html>"
+        monkeypatch.setattr(requests, "post", lambda *a, **k: response)
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            "backend: http\n"
+            "http:\n"
+            "  url: http://localhost:9/complete\n"
+            "  request_template: {prompt: '{prompt}'}\n"
+            "  response_path: [text]\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
+        assert code == 3
+        assert "not JSON" in err
+
+
 class TestRenderExtractCheck:
     def seed(self, sample_file):
         unit = SourceUnit.from_text(sample_file.read_text())

@@ -44,6 +44,50 @@ class TestLoadSettings:
         assert registry["rb"].line_comment_token == "#"
         assert "python" in registry  # shipped profiles remain
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "temperature: hot\n",
+            "temperature: -0.5\n",
+            "temperature: true\n",
+            "max_output: lots\n",
+            "max_output: 1.5\n",
+            "max_output: true\n",
+            "record: 'yes'\n",
+            "record: 1\n",
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, text):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_settings(config)
+
+    def test_well_typed_values_accepted(self, tmp_path):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            "temperature: 0\nmax_output: null\nrecord: true\nunknown_key: 1\n",
+            encoding="utf-8",
+        )
+        settings = load_settings(config)
+        assert settings.temperature == 0
+        assert settings.max_output is None and settings.record is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "profiles:\n  - name: rb\n",
+            "profiles:\n  - just-a-string\n",
+            "profiles:\n  - name: rb\n    line_comment_token: 'a b'\n",
+            "profiles: 5\n",
+        ],
+    )
+    def test_malformed_profile_rejected(self, tmp_path, text):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_settings(config)
+
     def test_non_mapping_rejected(self, tmp_path):
         config = tmp_path / "nlo.yaml"
         config.write_text("- just\n- a list\n", encoding="utf-8")

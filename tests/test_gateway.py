@@ -225,6 +225,27 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.complete(make_request())
 
+    def test_non_json_body_raises_backend_error(self):
+        class FakeResponse:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return json.loads("<html>busy</html>")
+
+        backend = HttpBackend(self.config(), post=lambda *a, **k: FakeResponse())
+        with pytest.raises(BackendError, match="not JSON"):
+            backend.complete(make_request())
+
+    def test_requests_non_json_body_raises_backend_error(self):
+        requests = pytest.importorskip("requests")
+        response = requests.models.Response()
+        response.status_code = 200
+        response._content = b"<html>busy</html>"
+        backend = HttpBackend(self.config(), post=lambda *a, **k: response)
+        with pytest.raises(BackendError, match="not JSON"):
+            backend.complete(make_request())
+
     def test_missing_response_path_raises(self):
         class FakeResponse:
             status_code = 200

@@ -195,6 +195,16 @@ class TestParseSections:
         assert [i.kind for i in issues] == ["unknown_topic_index"]
         assert sections[0].topic_index == 2  # Other changes
 
+    def test_unknown_topic_counted_even_when_dropped_as_duplicate(self):
+        sections, issues = parse_sections(
+            "6|1| Kept\n6|9| Dropped duplicate", self.filediff(), two_topics()
+        )
+        assert [i.kind for i in issues] == [
+            "unknown_topic_index",
+            "duplicate_line_number",
+        ]
+        assert sections == (Section(6, "Kept", 1),)
+
     def test_empty_response_gives_zero_sections(self):
         sections, issues = parse_sections("", self.filediff(), two_topics())
         assert sections == () and issues == ()
