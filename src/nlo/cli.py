@@ -61,10 +61,14 @@ def _instructions(technique: str) -> str:
 
 
 def _prompt_config(settings: Settings, technique: str) -> PromptConfig:
+    try:
+        few_shots = load_fewshot_set(settings.fewshot_set)
+    except ValueError as exc:  # a malformed or ill-fitting gold outline
+        raise ConfigError(f"few-shot set {settings.fewshot_set!r}: {exc}") from exc
     return PromptConfig(
         technique=technique,
         instructions=_instructions(technique),
-        few_shots=load_fewshot_set(settings.fewshot_set),
+        few_shots=few_shots,
     )
 
 

@@ -93,6 +93,8 @@ def load_settings(path: str | Path | None = None) -> Settings:
         value = getattr(settings, key)
         if not valid(value):
             raise ConfigError(f"{key} must be {expected}, not {value!r}")
+    # request_key hashes repr(temperature): a YAML `0` must key like the default 0.0
+    settings.temperature = float(settings.temperature)
     try:
         for entry in raw.get("profiles", []):
             profile = LanguageProfile(

@@ -1,6 +1,15 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
+
+import nlo
 
 from nlo.cli import main
 from nlo.fewshots import load_fewshot_set, load_triage_examples
@@ -156,6 +165,71 @@ class TestCustomProfile:
         assert out == "1| Set up the board.\n"
 
 
+class LocalModel:
+    """A model server on 127.0.0.1 that answers every POST with one set reply
+    and keeps the headers and JSON body of each request it receives."""
+
+    def __init__(self):
+        self.status, self.body = 200, b"{}"
+        self.received = []
+        model = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):  # keep test output quiet
+                pass
+
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                model.received.append((self.headers, json.loads(self.rfile.read(length))))
+                self.send_response(model.status)
+                self.send_header("Content-Length", str(len(model.body)))
+                self.end_headers()
+                self.wfile.write(model.body)
+
+        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/complete"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def local_model():
+    model = LocalModel()
+    yield model
+    model.close()
+
+
+def http_config(tmp_path, url, mode="flat"):
+    """Write an ``nlo.yaml`` for the http backend at ``url`` and return its path.
+
+    The request carries an ``Authorization`` header read from ``NLO_TEST_KEY``.
+    """
+    if mode == "flat":
+        template, response_path = "{model: '{model}', prompt: '{prompt}'}", "[text]"
+    else:
+        template = "{model: '{model}', messages: '{messages}'}"
+        response_path = "[choices, 0, message, content]"
+    config = tmp_path / "nlo.yaml"
+    config.write_text(
+        "backend: http\n"
+        "http:\n"
+        f"  url: {url}\n"
+        f"  mode: {mode}\n"
+        f"  request_template: {template}\n"
+        f"  response_path: {response_path}\n"
+        "  headers:\n"
+        "    Authorization: 'Bearer ${NLO_TEST_KEY}'\n",
+        encoding="utf-8",
+    )
+    return config
+
+
 class TestConfigAndBackendFailures:
     @pytest.mark.parametrize(
         "text",
@@ -168,24 +242,81 @@ class TestConfigAndBackendFailures:
         assert code == 1
         assert err.startswith("nlo: config error:")
 
-    def test_non_json_body_exits_3(self, capsys, tmp_path, sample_file, monkeypatch):
-        requests = pytest.importorskip("requests")
-        response = requests.models.Response()
-        response.status_code = 200
-        response._content = b"<html>busy</html>"
-        monkeypatch.setattr(requests, "post", lambda *a, **k: response)
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    def test_malformed_fewshot_set_exits_1(self, capsys, tmp_path, sample_file, command):
+        fewshots = tmp_path / "shots"
+        fewshots.mkdir()
+        (fewshots / "ex.py").write_text(SAMPLE, encoding="utf-8")
+        (fewshots / "ex.outline").write_text("not a record\n", encoding="utf-8")
         config = tmp_path / "nlo.yaml"
-        config.write_text(
-            "backend: http\n"
-            "http:\n"
-            "  url: http://localhost:9/complete\n"
-            "  request_template: {prompt: '{prompt}'}\n"
-            "  response_path: [text]\n",
-            encoding="utf-8",
-        )
+        config.write_text(f"fewshot_set: {fewshots}\n", encoding="utf-8")
+        target = [str(sample_file)] if command == "gen" else ["--corpus", str(tmp_path)]
+        code, _, err = run(capsys, ["--config", str(config), command, *target])
+        assert code == 1
+        assert err.startswith("nlo: config error:")
+        assert len(err.splitlines()) == 1
+
+    def test_non_json_body_exits_3(self, capsys, tmp_path, sample_file, local_model, monkeypatch):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.body = b"<html>busy</html>"
+        config = http_config(tmp_path, local_model.url)
         code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
         assert code == 3
         assert "not JSON" in err
+
+    def test_error_status_exits_3(self, capsys, tmp_path, sample_file, local_model, monkeypatch):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.status, local_model.body = 503, b"overloaded"
+        config = http_config(tmp_path, local_model.url)
+        code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
+        assert code == 3
+        assert "HTTP 503" in err
+
+    def test_refused_port_exits_3(self, capsys, tmp_path, sample_file, monkeypatch):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        with socket.socket() as bound:  # bound but not listening: connections are refused
+            bound.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{bound.getsockname()[1]}/complete"
+            config = http_config(tmp_path, url)
+            code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
+        assert code == 3
+        assert "request failed" in err
+
+    @pytest.mark.parametrize("mode", ["flat", "chat"])
+    def test_server_receives_payload_and_key(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, mode
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        text = "2| Add the two numbers."
+        reply = {"text": text} if mode == "flat" else {"choices": [{"message": {"content": text}}]}
+        local_model.body = json.dumps(reply).encode("utf-8")
+        config = http_config(tmp_path, local_model.url, mode)
+        code, out, _ = run(
+            capsys, ["--config", str(config), "gen", "--no-sidecar", str(sample_file)]
+        )
+        assert (code, out) == (0, text + "\n")
+        [(headers, payload)] = local_model.received
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert headers["Content-Type"] == "application/json"
+        prompt = build_prompt(SourceUnit.from_text(SAMPLE), default_config())
+        if mode == "flat":
+            assert payload == {"model": "default", "prompt": prompt.serialize()}
+        else:
+            assert payload == {"model": "default", "messages": prompt.messages()}
+
+
+def test_import_loads_no_http_stack():
+    # Every nlo invocation imports nlo.cli; only commands that call a live
+    # model may pay for the HTTP transport.
+    heavy = ("requests", "urllib.request", "http.client", "ssl")
+    code = f"import nlo.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    path = [str(Path(nlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestRenderExtractCheck:

@@ -1,7 +1,14 @@
 import pytest
 
 from nlo.config import ConfigError, Settings, load_settings, make_backend
-from nlo.gateway import HttpBackend, ReplayBackend, ScriptedBackend
+from nlo.gateway import (
+    GenerationRequest,
+    HttpBackend,
+    ReplayBackend,
+    ScriptedBackend,
+    request_key,
+    user_prompt,
+)
 
 
 class TestLoadSettings:
@@ -72,6 +79,17 @@ class TestLoadSettings:
         settings = load_settings(config)
         assert settings.temperature == 0
         assert settings.max_output is None and settings.record is True
+
+    def test_integer_temperature_keys_like_the_default(self, tmp_path):
+        config = tmp_path / "nlo.yaml"
+        config.write_text("temperature: 0\n", encoding="utf-8")
+        prompt = user_prompt("system", "user")
+
+        def key(temperature):
+            request = GenerationRequest(prompt=prompt, temperature=temperature)
+            return request_key("http", "default", request)
+
+        assert key(load_settings(config).temperature) == key(Settings().temperature)
 
     @pytest.mark.parametrize(
         "text",
