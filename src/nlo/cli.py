@@ -18,6 +18,7 @@ from .config import ConfigError, Settings, load_settings, make_backend
 from .errors import BackendError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
 from .fewshots import load_fewshot_set, load_triage_examples
+from .fileio import write_text_atomic
 from .gateway import FixtureStore, GenerationRequest, request_key, user_prompt
 from .generation import (
     INFILLING_INSTRUCTIONS,
@@ -76,7 +77,10 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
     # Config-defined profiles are keyed by file extension; shipped languages
     # fall back to the extension heuristics.
     registry = settings.profile_registry()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a usage error, like an unreadable file
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
     suffix = Path(path).suffix.lstrip(".")
     profile = registry.get(suffix) or profile_for_path(path)
     return SourceUnit.from_text(text, profile=profile)
@@ -254,7 +258,7 @@ def _cmd_gen(args, settings: Settings) -> int:
         return EXIT_PARSE
     if args.in_place:
         rendered = render_interleaved(unit, report.outline)
-        Path(args.file).write_text(rendered.text() + "\n", encoding="utf-8")
+        write_text_atomic(args.file, rendered.text() + "\n")
     elif not args.no_sidecar:
         sidecar_write(unit, report.outline, args.file)
     return EXIT_OK
@@ -278,7 +282,7 @@ def _cmd_render(args, settings: Settings) -> int:
         return EXIT_OK
     rendered = render_interleaved(unit, outline)
     if args.in_place:
-        Path(args.file).write_text(rendered.text() + "\n", encoding="utf-8")
+        write_text_atomic(args.file, rendered.text() + "\n")
     else:
         print(rendered.text())
     return EXIT_OK
@@ -289,7 +293,7 @@ def _cmd_extract(args, settings: Settings) -> int:
     unit, outline = extract(annotated)
     print(infill_text(outline))
     if args.in_place:
-        Path(args.file).write_text(unit.text() + "\n", encoding="utf-8")
+        write_text_atomic(args.file, unit.text() + "\n")
         sidecar_write(unit, outline, args.file)
     return EXIT_OK
 
@@ -352,7 +356,7 @@ def _cmd_finish(args, settings: Settings) -> int:
             new_text = render_interleaved(result.new_unit, result.new_outline).text()
         else:
             new_text = result.new_unit.text()
-        Path(args.file).write_text(new_text + "\n", encoding="utf-8")
+        write_text_atomic(args.file, new_text + "\n")
         sidecar_write(result.new_unit, result.new_outline, args.file)
     return EXIT_OK
 
@@ -374,9 +378,9 @@ def _cmd_split(args, settings: Settings) -> int:
     )
     reports = render_split_report(outcome.split, cl)
     if args.json_out:
-        Path(args.json_out).write_text(reports["json"], encoding="utf-8")
+        write_text_atomic(args.json_out, reports["json"])
     if args.html_out:
-        Path(args.html_out).write_text(reports["html"], encoding="utf-8")
+        write_text_atomic(args.html_out, reports["html"])
     print(reports["terminal"], end="")
     for path, issues in outcome.file_issues:
         for issue in issues:
@@ -440,7 +444,7 @@ def _cmd_eval(args, settings: Settings) -> int:
     rows = evaluate_corpus(corpus, configs, backends, max_workers=args.workers)
     print(render_eval_table(rows), end="")
     if args.json_out:
-        Path(args.json_out).write_text(eval_rows_to_json(rows), encoding="utf-8")
+        write_text_atomic(args.json_out, eval_rows_to_json(rows))
     return EXIT_OK
 
 

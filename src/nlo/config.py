@@ -25,6 +25,7 @@ from .gateway import (
     ReplayBackend,
     ScriptedBackend,
 )
+from .generation import TECHNIQUES
 from .source_model import LanguageProfile, PROFILES
 
 DEFAULT_CONFIG_NAME = "nlo.yaml"
@@ -89,6 +90,7 @@ def load_settings(path: str | Path | None = None) -> Settings:
         ("temperature", lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
         ("max_output", lambda v: v is None or type(v) is int, "an integer or null"),
         ("record", lambda v: type(v) is bool, "true or false"),
+        ("technique", lambda v: v in TECHNIQUES, " or ".join(TECHNIQUES)),
     ):
         value = getattr(settings, key)
         if not valid(value):

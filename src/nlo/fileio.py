@@ -1,0 +1,24 @@
+"""Atomic file replacement: the one way ``nlo`` writes a file."""
+
+import os
+from pathlib import Path
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) through a temporary file in its
+    directory and ``os.replace``: readers and a crash of this process see the
+    old bytes or the new, never a mix or a leftover temporary file.  No fsync,
+    so not safe against power loss.  Keeps an existing target's mode bits; a
+    new one gets ``0o666`` less the umask; symlinks are written through."""
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        if os.path.exists(target):
+            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import BackendError, BudgetExceededError, ReplayMissError
+from .fileio import write_text_atomic
 
 ROLE_LABELS = {"system": "SYSTEM INSTRUCTIONS:", "user": "USER:", "assistant": "ASSISTANT:"}
 
@@ -158,13 +159,18 @@ class FixtureStore:
         self.root = Path(root)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        self._encoded: dict[str, str] | None = None  # index.json text by entry
+        self._text = ""  # index.json as read
         index = self.root / self.INDEX_NAME
         if index.exists():
-            data = json.loads(index.read_text(encoding="utf-8"))
-            if data.get("version") != self.VERSION:
-                raise BackendError(
-                    f"fixture index version {data.get('version')!r} unsupported"
-                )
+            try:
+                self._text = index.read_text(encoding="utf-8")
+                data = json.loads(self._text)
+            except ValueError as exc:  # undecodable bytes or malformed JSON
+                raise BackendError(f"fixture index {index} is not JSON: {exc}") from exc
+            version = data.get("version") if isinstance(data, dict) else None
+            if version != self.VERSION:
+                raise BackendError(f"fixture index version {version!r} unsupported")
             self._entries = dict(data.get("entries", {}))
 
     def __contains__(self, key: str) -> bool:
@@ -184,12 +190,35 @@ class FixtureStore:
     def put(self, key: str, response: str, meta: dict | None = None) -> None:
         with self._lock:
             self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / f"{key}.txt").write_text(response, encoding="utf-8")
+            write_text_atomic(self.root / f"{key}.txt", response)
+            if self._encoded is None:  # entries already on disk keep their text
+                self._encoded = _entry_texts(self._text, self._entries)
             self._entries[key] = dict(meta or {})
-            index = {"version": self.VERSION, "entries": self._entries}
-            (self.root / self.INDEX_NAME).write_text(
-                json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            self._encoded[key] = _encoded(key, self._entries[key])
+            body = _SEP.join(self._encoded[k] for k in sorted(self._encoded))
+            write_text_atomic(self.root / self.INDEX_NAME, _OPEN + body + _CLOSE)
+
+
+# index.json as json.dumps(index, indent=2, sort_keys=True) lays it out: the
+# entries (key lines indented by 4) sit between _OPEN and _CLOSE, joined by _SEP.
+_OPEN, _SEP = '{\n  "entries": {\n    "', ',\n    "'
+_CLOSE = f'\n  }},\n  "version": {FixtureStore.VERSION}\n}}\n'
+
+
+def _entry_texts(text: str, entries: dict) -> dict[str, str]:
+    """Each entry's text, cut from ``text`` when it is laid out so, else encoded."""
+    keys = sorted(entries)
+    laid_out = text.startswith(_OPEN) and text.endswith(_CLOSE)
+    chunks = text[len(_OPEN) : -len(_CLOSE)].split(_SEP) if laid_out else []
+    heads = [f'{key}": ' for key in keys]
+    if len(chunks) != len(keys) or not all(map(str.startswith, chunks, heads)):
+        chunks = [_encoded(key, entries[key]) for key in keys]
+    return dict(zip(keys, chunks))
+
+
+def _encoded(key: str, meta) -> str:
+    """One entry as it follows ``_OPEN`` or ``_SEP`` in ``index.json``."""
+    return json.dumps({key: meta}, indent=2, sort_keys=True)[5:-2].replace("\n", "\n  ")
 
 
 class ReplayBackend:

@@ -24,11 +24,8 @@ from .source_model import (
     LineClass,
     SourceUnit,
     classify_line,
-    docstring_span,
     leading_whitespace,
     number_lines,
-    _bracket_delta,
-    _signature_end,
 )
 
 # --- Issue taxonomy ---------------------------------------------------------
@@ -241,17 +238,15 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
     pending: list[tuple[str, bool]] = []
     truncated = False
 
+    def note(kind: str, location: int | None, detail: str) -> None:
+        issues.append(ParseIssue(kind, location=location, detail=detail))
+
     def flush(anchor: int) -> None:
         if not pending:
             return
         if len(pending) >= 2:
-            issues.append(
-                ParseIssue(
-                    "consecutive_comment",
-                    location=anchor,
-                    detail=f"{len(pending)} consecutive comments joined",
-                )
-            )
+            joined = f"{len(pending)} consecutive comments joined"
+            note("consecutive_comment", anchor, joined)
         statements.append(_joined(anchor, pending))
         pending.clear()
 
@@ -267,23 +262,11 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
         pcls = classify_line(profile, pline)
         ocls = classify_line(profile, oline)
         if pcls is LineClass.BLANK:
-            issues.append(
-                ParseIssue(
-                    "extra_blank_line",
-                    location=o + 1,
-                    detail=f"response line {p + 1} is blank",
-                )
-            )
+            note("extra_blank_line", o + 1, f"response line {p + 1} is blank")
             p += 1
             continue
         if ocls is LineClass.BLANK:
-            issues.append(
-                ParseIssue(
-                    "missing_blank_line",
-                    location=o + 1,
-                    detail="blank original line has no blank response line",
-                )
-            )
+            note("missing_blank_line", o + 1, _NO_BLANK)
             o += 1
             continue
         if pcls in COMMENT_CLASSES:
@@ -291,36 +274,21 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
             p += 1
             continue
         if ocls in COMMENT_CLASSES:
-            issues.append(
-                ParseIssue(
-                    "missing_comment",
-                    location=o + 1,
-                    detail=f"original comment not in response: {oline.strip()!r}",
-                )
-            )
+            missing = f"original comment not in response: {oline.strip()!r}"
+            note("missing_comment", o + 1, missing)
             o += 1
             continue
         if _drop_trailing_comment(profile, pline) == _drop_trailing_comment(
             profile, oline
         ):
-            issues.append(
-                ParseIssue(
-                    "changed_trailing_comment",
-                    location=o + 1,
-                    detail="lines match except for a trailing comment",
-                )
-            )
+            same = "lines match except for a trailing comment"
+            note("changed_trailing_comment", o + 1, same)
             p += 1
             o += 1
             continue
         flush(o + 1)
-        issues.append(
-            ParseIssue(
-                "changed_code",
-                location=o + 1,
-                detail=f"expected {oline.strip()!r}, response has {pline.strip()!r}",
-            )
-        )
+        changed = f"expected {oline.strip()!r}, response has {pline.strip()!r}"
+        note("changed_code", o + 1, changed)
         truncated = True
         break
 
@@ -328,33 +296,17 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
         if p >= pred_len:
             # Trailing blank original lines are skippable like in-loop blanks.
             while o < orig_len and not original.lines[o].strip():
-                issues.append(
-                    ParseIssue(
-                        "missing_blank_line",
-                        location=o + 1,
-                        detail="blank original line has no blank response line",
-                    )
-                )
+                note("missing_blank_line", o + 1, _NO_BLANK)
                 o += 1
         if o < orig_len:
             flush(o + 1)
-            issues.append(
-                ParseIssue(
-                    "missing_prediction_lines",
-                    location=o + 1,
-                    detail=f"{orig_len - o} original lines unmatched",
-                )
-            )
+            unmatched = f"{orig_len - o} original lines unmatched"
+            note("missing_prediction_lines", o + 1, unmatched)
         else:
             leftover = [ln for ln in pred[p:] if ln.strip()]
             if leftover or pending:
-                issues.append(
-                    ParseIssue(
-                        "extra_prediction_lines",
-                        location=None,
-                        detail=f"{len(leftover) + len(pending)} unmatched response lines",
-                    )
-                )
+                extra = f"{len(leftover) + len(pending)} unmatched response lines"
+                note("extra_prediction_lines", None, extra)
                 pending.clear()
 
     if not statements:
@@ -364,6 +316,9 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
         issues=tuple(issues),
         truncated=truncated,
     )
+
+
+_NO_BLANK = "blank original line has no blank response line"
 
 
 def _strip_code_fence(response: str) -> list[str]:
@@ -411,24 +366,14 @@ def _scan_records(
         match = pattern.fullmatch(line)
         *numbers, text = match.groups() if match else ("",)
         if not text.strip():
-            issues.append(
-                ParseIssue(
-                    "malformed_line",
-                    location=lineno,
-                    detail=f"response line {lineno}: {line.strip()!r}",
-                )
-            )
+            detail = f"response line {lineno}: {line.strip()!r}"
+            issues.append(ParseIssue("malformed_line", lineno, detail))
             continue
         numbers = [int(n) for n in numbers]
         anchor = numbers[0]
         if limit is not None and not 1 <= anchor <= limit:
-            issues.append(
-                ParseIssue(
-                    "line_number_out_of_bounds",
-                    location=lineno,
-                    detail=f"line number {anchor} outside 1..{limit}",
-                )
-            )
+            detail = f"line number {anchor} outside 1..{limit}"
+            issues.append(ParseIssue("line_number_out_of_bounds", lineno, detail))
             continue
         records.append((*numbers, text, lineno))
     return records, issues
@@ -447,13 +392,8 @@ def _order_records(records: list[tuple], issues: list[ParseIssue]) -> list[tuple
     kept: list[tuple] = []
     for record in records:
         if kept and kept[-1][0] == record[0]:
-            issues.append(
-                ParseIssue(
-                    "duplicate_line_number",
-                    location=record[0],
-                    detail=f"duplicate line number {record[0]}; kept the first",
-                )
-            )
+            detail = f"duplicate line number {record[0]}; kept the first"
+            issues.append(ParseIssue("duplicate_line_number", record[0], detail))
             continue
         kept.append(record)
     return kept
@@ -476,21 +416,11 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
         if original.classify(anchor) is LineClass.BLANK:
             moved = _next_non_blank(original, anchor)
             if moved is None:
-                issues.append(
-                    ParseIssue(
-                        "line_number_out_of_bounds",
-                        location=anchor,
-                        detail=f"no non-blank line at or after {anchor}",
-                    )
-                )
+                detail = f"no non-blank line at or after {anchor}"
+                issues.append(ParseIssue("line_number_out_of_bounds", anchor, detail))
                 continue
-            issues.append(
-                ParseIssue(
-                    "commented_empty_line",
-                    location=anchor,
-                    detail=f"anchor {anchor} is blank; moved to {moved}",
-                )
-            )
+            detail = f"anchor {anchor} is blank; moved to {moved}"
+            issues.append(ParseIssue("commented_empty_line", anchor, detail))
             anchor = moved
         repaired.append((anchor, text))
     # Moving anchors off blank lines can collide with a later statement.
@@ -545,43 +475,29 @@ class Constraint:
 def comment_slot_positions(unit: SourceUnit) -> dict[int, bool]:
     """Line indices a comment may be inserted above, mapped to required-ness.
 
-    No slot above a blank line, inside a multi-line statement (unbalanced
-    brackets or an explicit backslash continuation), between two comment
-    lines, or within the docstring.  The first body line after the
-    signature and docstring gets a required slot when that structure is
-    detectable.
+    No slot above a blank line, inside a multi-line statement or string
+    literal (brackets and backslashes count only outside literals and
+    comments), between two comment lines, or within the docstring.  The
+    first body line after the signature and docstring gets a required slot
+    when that structure is detectable.
     """
+    model = unit._line_model
+    first, last = model.docstring or (0, 0)
     positions: dict[int, bool] = {}
-    span = docstring_span(unit)
-    balance = 0
-    for i in range(1, len(unit) + 1):
-        line = unit.line(i)
-        legal = unit.classify(i) is not LineClass.BLANK
-        if i > 1:
-            if balance > 0 or unit.line(i - 1).rstrip().endswith("\\"):
-                legal = False
-            if (
-                unit.classify(i) is LineClass.COMMENT
-                and unit.classify(i - 1) is LineClass.COMMENT
-            ):
-                legal = False
-        if span is not None and span[0] <= i <= span[1]:
-            legal = False
-        if legal:
+    above = None
+    for i, line in enumerate(unit.lines, start=1):
+        cls = classify_line(unit.profile, line)
+        if not (
+            cls is LineClass.BLANK
+            or model.in_string[i - 1] or model.depth[i - 1] > 0 or model.backslash[i - 1]
+            or (cls is LineClass.COMMENT and above is LineClass.COMMENT)
+            or first <= i <= last
+        ):
             positions[i] = False
-        balance += _bracket_delta(line)
-    required = _first_body_line(unit, span)
-    if required is not None and required in positions:
-        positions[required] = True
+        above = cls
+    if model.first_body_line in positions:
+        positions[model.first_body_line] = True
     return positions
-
-
-def _first_body_line(unit: SourceUnit, span: tuple[int, int] | None) -> int | None:
-    sig_end = _signature_end(unit)
-    if sig_end is None:
-        return None
-    start = span[1] if span is not None else sig_end
-    return _next_non_blank(unit, start + 1)
 
 
 def build_constraint(unit: SourceUnit) -> Constraint:

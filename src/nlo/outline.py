@@ -19,7 +19,6 @@ from .source_model import (
     STAR_CLASSES,
     SourceUnit,
     classify_line,
-    docstring_span,
     indentation,
     leading_whitespace,
 )
@@ -65,7 +64,7 @@ class Outline:
 class Violation:
     """One reason an outline does not fit a unit.  Violations are data."""
 
-    kind: str  # out_of_range | blank_line | docstring | not_increasing | empty_text
+    kind: str  # out_of_range|blank_line|docstring|in_string|not_increasing|empty_text
     statement_index: int  # 0-based index into outline.statements
     message: str
 
@@ -84,42 +83,29 @@ def validate(outline: Outline, unit: SourceUnit) -> list[Violation]:
     """Check an outline against a unit.  An empty list means valid.
 
     Violations: anchor out of range, anchor at a blank line, anchor inside
-    the docstring, anchors not strictly increasing, empty statement text.
+    the docstring or else on a line that begins inside a string literal,
+    anchors not strictly increasing, empty statement text.
     """
     violations: list[Violation] = []
-    span = docstring_span(unit)
     for i, stmt in enumerate(outline.statements):
-        if not 1 <= stmt.anchor <= len(unit):
-            violations.append(
-                Violation(
-                    "out_of_range",
-                    i,
-                    f"anchor {stmt.anchor} outside 1..{len(unit)}",
-                )
-            )
+        anchor, found = stmt.anchor, []
+        if not 1 <= anchor <= len(unit):
+            found.append(("out_of_range", f"outside 1..{len(unit)}"))
         else:
-            if unit.classify(stmt.anchor) is LineClass.BLANK:
-                violations.append(
-                    Violation("blank_line", i, f"anchor {stmt.anchor} is a blank line")
-                )
-            if span is not None and span[0] <= stmt.anchor <= span[1]:
-                violations.append(
-                    Violation(
-                        "docstring",
-                        i,
-                        f"anchor {stmt.anchor} is inside the docstring "
-                        f"(lines {span[0]}..{span[1]})",
-                    )
-                )
-        if i > 0 and stmt.anchor <= outline.statements[i - 1].anchor:
-            violations.append(
-                Violation(
-                    "not_increasing",
-                    i,
-                    f"anchor {stmt.anchor} does not increase past "
-                    f"{outline.statements[i - 1].anchor}",
-                )
-            )
+            span = unit._line_model.docstring
+            if unit.classify(anchor) is LineClass.BLANK:
+                found.append(("blank_line", "is a blank line"))
+            if span is not None and span[0] <= anchor <= span[1]:
+                where = f"lines {span[0]}..{span[1]}"
+                found.append(("docstring", f"is inside the docstring ({where})"))
+            elif unit._line_model.in_string[anchor - 1]:
+                found.append(("in_string", "begins inside a string literal"))
+        if i > 0 and anchor <= outline.statements[i - 1].anchor:
+            previous = outline.statements[i - 1].anchor
+            found.append(("not_increasing", f"does not increase past {previous}"))
+        violations.extend(
+            Violation(kind, i, f"anchor {anchor} {message}") for kind, message in found
+        )
         if not stmt.text.strip():
             violations.append(Violation("empty_text", i, "statement text is empty"))
     return violations
@@ -187,18 +173,22 @@ def extract(unit_with_comments: SourceUnit) -> tuple[SourceUnit, Outline]:
     the next line below it that is neither a star comment nor blank (blank
     lines belong above the comment, which sits directly above its section).
     A run of consecutive star comments joins into one statement, texts
-    concatenated by a single space, because anchors may not repeat.
+    concatenated by a single space, because anchors may not repeat.  A
+    star-comment-shaped line inside a string literal stays code.
     """
     profile = unit_with_comments.profile
     bare: list[str] = []
     # Collected runs: (text parts, verified flags) awaiting the next bare line.
     pending: list[tuple[str, bool]] = []
     raw_statements: list[OutlineStatement] = []
-    for line in unit_with_comments.lines:
+    in_string = None  # read from the line model at the first star comment
+    for i, line in enumerate(unit_with_comments.lines):
         cls = classify_line(profile, line)
         if cls in STAR_CLASSES:
-            pending.append(_comment_text(profile, line, cls))
-            continue
+            in_string = in_string or unit_with_comments._line_model.in_string
+            if not in_string[i]:
+                pending.append(_comment_text(profile, line, cls))
+                continue
         bare.append(line)
         if pending and cls is not LineClass.BLANK:
             raw_statements.append(_joined(len(bare), pending))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SidecarError, SidecarVersionError
+from .fileio import write_text_atomic
 from .outline import Outline, OutlineStatement, validate
 from .source_model import PROFILES, SourceUnit, profile_for_path
 
@@ -89,10 +90,8 @@ def sidecar_write(
     }
     if record.snapshot is not None:
         document["snapshot"] = list(record.snapshot)
-    target = sidecar_path(source_path)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    write_text_atomic(sidecar_path(source_path), text)
     return record
 
 

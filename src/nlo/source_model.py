@@ -8,8 +8,10 @@ line indices in this package are 1-based.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class LineClass(enum.Enum):
@@ -29,9 +31,6 @@ STAR_CLASSES = frozenset({LineClass.STAR_COMMENT, LineClass.VERIFIED_STAR_COMMEN
 
 # Widest line number that fits the 3-character prefix field.
 MAX_NUMBERED_LINES = 999
-
-_TRIPLE_QUOTE = re.compile(r'^[rRuUbB]{0,2}("""|\'\'\')')
-
 
 @dataclass(frozen=True)
 class LanguageProfile:
@@ -85,6 +84,20 @@ def profile_for_path(path: str) -> LanguageProfile:
 
 
 @dataclass(frozen=True)
+class _LineModel:
+    """Where literals, continuations, signature, docstring and body lie in a
+    unit.  Per-line tuples hold the state where line ``i`` begins at index
+    ``i - 1``; brackets and backslashes in literals and comments do not count."""
+
+    in_string: tuple[bool, ...]  # inside a string literal opened above
+    depth: tuple[int, ...]  # signed count of brackets left open above
+    backslash: tuple[bool, ...]  # the line above ends in a backslash
+    signature_end: int | None  # last line of the first def/class signature
+    docstring: tuple[int, int] | None
+    first_body_line: int | None  # first non-blank line below both
+
+
+@dataclass(frozen=True)
 class SourceUnit:
     """An immutable, line-indexed piece of source code."""
 
@@ -114,6 +127,10 @@ class SourceUnit:
 
     def classify(self, index: int) -> LineClass:
         return classify_line(self.profile, self.line(index))
+
+    @functools.cached_property
+    def _line_model(self) -> _LineModel:
+        return _scan(self)
 
 
 def classify_line(profile: LanguageProfile, line: str) -> LineClass:
@@ -159,56 +176,75 @@ def leading_whitespace(line: str) -> str:
 
 
 def docstring_span(unit: SourceUnit) -> tuple[int, int] | None:
-    """Locate a docstring: the inclusive 1-based line range of a triple-quoted
-    literal that is the first statement after the signature, or ``None``.
+    """The 1-based inclusive line span of the triple-quoted literal that is the
+    first statement below the first def/class signature, or ``None``."""
+    return unit._line_model.docstring
 
-    Purely textual; the only consumer is placement validation, so unparseable
-    code simply yields ``None``.
-    """
-    if unit.profile.docstring_rule != "python_triple_quote" or len(unit) == 0:
-        return None
-    sig_end = _signature_end(unit)
-    if sig_end is None:
-        return None
-    # First non-blank line after the signature.
-    start = None
-    for i in range(sig_end + 1, len(unit) + 1):
-        if unit.classify(i) is not LineClass.BLANK:
-            start = i
+
+# A line comment (its text in group 1) or a string literal: one-line unless a
+# backslash escapes the newline, or triple-quoted under python_triple_quote
+# (closing quotes in group 2 or 3).  Literal first characters let re skip ahead.
+@functools.lru_cache(maxsize=None)
+def _literals(profile: LanguageProfile) -> re.Pattern:
+    pattern = r"""'[^'\\\n]*(?:\\.[^'\\\n]*)*'?|"[^"\\\n]*(?:\\.[^"\\\n]*)*"?"""
+    if profile.docstring_rule == "python_triple_quote":
+        pattern = (
+            r"""'''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*(''')?|"""
+            r'''"""[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*(""")?|'''
+            + pattern
+        )
+    token = re.escape(profile.line_comment_token)
+    return re.compile(f"{token}([^\\n]*)|{pattern}", re.DOTALL)
+
+
+# Like the package's other patterns, the shipped profiles' compile at import.
+list(map(_literals, PROFILES.values()))
+_STRING_PREFIX = re.compile(r"\s*[rRuUbB]{0,2}")  # before a docstring
+_ROUND = str.maketrans("[{]}", "(())")  # every bracket kind counts alike
+
+
+def _scan(unit: SourceUnit) -> _LineModel:
+    """Mask comments and literals out with one regex; read the rest per line."""
+    lines = unit.lines
+    text = "\n".join(lines)
+    in_string = [False] * len(lines)
+    leading: dict[int, int] = {}  # closed triple-quoted literal opening a row
+    row = end = 0
+
+    def mask(found: re.Match) -> str:
+        nonlocal row, end
+        if found.group(1) is not None:
+            return ""
+        start = found.start()
+        row += text.count("\n", end, start)
+        end = found.end()
+        breaks = text.count("\n", start, end)
+        in_string[row + 1 : row + 1 + breaks] = [True] * breaks
+        line_start = text.rfind("\n", 0, start) + 1
+        if found.lastindex and _STRING_PREFIX.fullmatch(text, line_start, start):
+            leading[row] = row + breaks
+        row += breaks
+        return "0" + "\n" * breaks
+
+    masked = _literals(unit.profile).sub(mask, text).translate(_ROUND).split("\n")
+    level = list(accumulate((c.count("(") - c.count(")") for c in masked), initial=0))
+    tails = [c.rstrip() for c in masked]
+
+    def non_blank(after: int) -> int | None:  # the first one below line ``after``
+        return next((j + 1 for j in range(after, len(lines)) if lines[j].strip()), None)
+
+    signature_end = docstring = body = None
+    for i, line in enumerate(lines):
+        if not in_string[i] and line.lstrip().startswith(("def ", "async def ", "class ")):
+            ends = (j for j in range(i, len(lines)) if level[j + 1] <= level[i])
+            signature_end = next((j + 1 for j in ends if tails[j].endswith(":")), None)
             break
-    if start is None:
-        return None
-    opener = _TRIPLE_QUOTE.match(unit.line(start).lstrip())
-    if opener is None:
-        return None
-    quote = opener.group(1)
-    rest = unit.line(start).lstrip()[opener.end():]
-    if quote in rest:
-        return (start, start)
-    for i in range(start + 1, len(unit) + 1):
-        if quote in unit.line(i):
-            return (start, i)
-    return None
-
-
-def _signature_end(unit: SourceUnit) -> int | None:
-    """1-based index of the last line of the first def/class signature."""
-    start = None
-    for i in range(1, len(unit) + 1):
-        stripped = unit.line(i).lstrip()
-        if stripped.startswith(("def ", "async def ", "class ")):
-            start = i
-            break
-    if start is None:
-        return None
-    balance = 0
-    for i in range(start, len(unit) + 1):
-        balance += _bracket_delta(unit.line(i))
-        if balance <= 0 and unit.line(i).rstrip().endswith(":"):
-            return i
-    return None
-
-
-def _bracket_delta(line: str) -> int:
-    """Net bracket balance of a line; a cheap, string-unaware approximation."""
-    return sum(line.count(o) - line.count(c) for o, c in ("()", "[]", "{}"))
+    if signature_end is not None:
+        body = non_blank(signature_end)
+        if body is not None and body - 1 in leading:
+            docstring = (body, leading[body - 1] + 1)
+            body = non_blank(docstring[1])
+    backslash = (False, *(t.endswith("\\") for t in tails[:-1]))
+    return _LineModel(
+        tuple(in_string), tuple(level[:-1]), backslash, signature_end, docstring, body
+    )

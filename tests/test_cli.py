@@ -147,6 +147,20 @@ class TestGen:
         assert out == "2| Add the two numbers.\n"
 
 
+    def test_gen_in_place_refuses_anchor_inside_string(self, capsys, tmp_path, store_dir):
+        path = tmp_path / "msg.py"
+        text = 'def f():\n  msg = """\n  hello\n  """\n  return msg\n'
+        path.write_text(text, encoding="utf-8")
+        self.record_gen(store_dir, path, response="3| Say hello.")
+        argv = ["gen", str(path), "--fixtures", str(store_dir)]
+        code, _, err = run(capsys, [*argv, "--in-place"])
+        assert code == 2
+        assert "anchor 3 begins inside a string literal" in err
+        assert path.read_text(encoding="utf-8") == text
+        assert run(capsys, argv)[0] == 2
+        assert not sidecar_path(path).exists()
+
+
 class TestCustomProfile:
     def test_config_profile_drives_extraction(self, capsys, tmp_path):
         config = tmp_path / "nlo.yaml"
@@ -233,7 +247,7 @@ def http_config(tmp_path, url, mode="flat"):
 class TestConfigAndBackendFailures:
     @pytest.mark.parametrize(
         "text",
-        ["temperature: hot\n", "profiles:\n  - name: lsp\n"],
+        ["temperature: hot\n", "profiles:\n  - name: lsp\n", "technique: bogus\n"],
     )
     def test_config_mistake_exits_1(self, capsys, tmp_path, sample_file, text):
         config = tmp_path / "nlo.yaml"
@@ -254,6 +268,26 @@ class TestConfigAndBackendFailures:
         code, _, err = run(capsys, ["--config", str(config), command, *target])
         assert code == 1
         assert err.startswith("nlo: config error:")
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_source_exits_1(self, capsys, tmp_path, sample_file):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        bad = corpus / "bad.py"
+        bad.write_bytes(b"def f():\n  return '\xff'\n")
+        for argv in (["gen", str(bad)], ["eval", "--corpus", str(corpus)]):
+            code, _, err = run(capsys, argv)
+            assert code == 1
+            assert err.startswith(f"nlo: {bad}: ")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["{bad", "[]"])
+    def test_corrupt_fixture_index_exits_3(self, capsys, store_dir, text):
+        store_dir.mkdir()
+        (store_dir / "index.json").write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, ["fixtures", "list", "--fixtures", str(store_dir)])
+        assert code == 3
+        assert err.startswith("nlo: backend error: fixture index")
         assert len(err.splitlines()) == 1
 
     def test_non_json_body_exits_3(self, capsys, tmp_path, sample_file, local_model, monkeypatch):
@@ -355,6 +389,15 @@ class TestRenderExtractCheck:
         assert sample_file.read_text() == SAMPLE
         record_read, stale = sidecar_read(sample_file)
         assert not stale
+
+    def test_extract_in_place_keeps_string_contents(self, capsys, tmp_path):
+        path = tmp_path / "msg.py"
+        text = 'def f():\n  #* Build it.\n  msg = """\n  #* not a comment\n  """\n'
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, ["extract", str(path), "--in-place"])
+        assert code == 0
+        assert out == "2| Build it.\n"
+        assert path.read_text(encoding="utf-8") == text.replace("  #* Build it.\n", "")
 
     def test_check_ok(self, capsys, sample_file):
         self.seed(sample_file)

@@ -140,6 +140,25 @@ class TestReplayBackend:
         assert "abc123" in reloaded
         assert reloaded.get("abc123") == "body"
 
+    def test_index_is_the_sorted_indented_json_of_every_entry(self, tmp_path):
+        def index_holds(entries):
+            expected = {"version": 1, "entries": entries}
+            index = (tmp_path / "index.json").read_text(encoding="utf-8")
+            return index == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+        compact = {"version": 1, "entries": {"8": {"model": "x"}}}
+        (tmp_path / "index.json").write_text(json.dumps(compact), encoding="utf-8")
+        metas = [{}, {"model": "m", "temperature": 0.5}, {"x": [1, {"y": 'ü\n"'}]}]
+        store = FixtureStore(tmp_path)
+        for i, meta in enumerate(metas):
+            store.put(f"{7 - i}", "body", meta=meta)
+        entries = {"8": {"model": "x"}, "7": {}, "6": metas[1], "5": metas[2]}
+        assert index_holds(entries)
+        FixtureStore(tmp_path).put("5", "other", meta={"model": "n"})
+        assert index_holds({**entries, "5": {"model": "n"}})
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["5.txt", "6.txt", "7.txt", "index.json"]
+
     def test_concurrent_reads(self, tmp_path):
         store = FixtureStore(tmp_path)
         backend = ReplayBackend(store, model_id="m")
