@@ -18,7 +18,7 @@ from .config import ConfigError, Settings, load_settings, make_backend
 from .errors import BackendError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
 from .fewshots import load_fewshot_set, load_triage_examples
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 from .gateway import FixtureStore, GenerationRequest, request_key, user_prompt
 from .generation import (
     INFILLING_INSTRUCTIONS,
@@ -77,10 +77,7 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
     # Config-defined profiles are keyed by file extension; shipped languages
     # fall back to the extension heuristics.
     registry = settings.profile_registry()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # a usage error, like an unreadable file
-        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
+    text = read_text(path)
     suffix = Path(path).suffix.lstrip(".")
     profile = registry.get(suffix) or profile_for_path(path)
     return SourceUnit.from_text(text, profile=profile)
@@ -365,7 +362,7 @@ def _cmd_split(args, settings: Settings) -> int:
     if args.diff == "-":
         text = sys.stdin.read()
     else:
-        text = Path(args.diff).read_text(encoding="utf-8")
+        text = read_text(args.diff)
     files = parse_unified_diff(text)
     cl = ChangeList(description=args.description, files=files)
     backend = make_backend(settings)
@@ -454,12 +451,12 @@ def _cmd_fixtures(args, settings: Settings) -> int:
         for key in store.keys():
             print(key)
         return EXIT_OK
-    prompt = user_prompt(args.system, Path(args.prompt_file).read_text(encoding="utf-8"))
+    prompt = user_prompt(args.system, read_text(args.prompt_file))
     request = GenerationRequest(prompt=prompt, temperature=args.temperature)
     key = request_key(args.backend_id, args.model, request)
     store.put(
         key,
-        Path(args.response_file).read_text(encoding="utf-8"),
+        read_text(args.response_file),
         meta={
             "backend": args.backend_id,
             "model": args.model,

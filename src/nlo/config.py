@@ -17,6 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import NloError
+from .fileio import read_text
 from .gateway import (
     Backend,
     FixtureStore,
@@ -67,7 +68,7 @@ def load_settings(path: str | Path | None = None) -> Settings:
         if not candidate.exists():
             return settings
         path = candidate
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    raw = yaml.safe_load(read_text(path)) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     for key in (
@@ -143,9 +144,7 @@ def make_backend(settings: Settings) -> Backend:
     if settings.backend == "scripted":
         if not settings.responses_file:
             raise ConfigError("scripted backend needs responses_file")
-        responses = json.loads(
-            Path(settings.responses_file).read_text(encoding="utf-8")
-        )
+        responses = json.loads(read_text(settings.responses_file))
         if not isinstance(responses, list):
             raise ConfigError("responses_file must hold a JSON list of strings")
         return ScriptedBackend(responses, model_id=settings.model)

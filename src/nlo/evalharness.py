@@ -28,9 +28,6 @@ class EvalRow:
     major: int
     avg_statements: float
 
-    def corpus_size(self) -> int:
-        return self.none + self.minor + self.major
-
 
 def classify_report(report) -> str:
     """Bucket one report: major wins over minor; no issues means clean."""

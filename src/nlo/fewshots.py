@@ -12,6 +12,7 @@ import re
 from importlib import resources
 from pathlib import Path
 
+from .fileio import read_text
 from .generation import FewShotExample, _scan_records
 from .outline import Outline, OutlineStatement
 from .source_model import (
@@ -58,10 +59,8 @@ def load_fewshot_set(
     for outline_path in sorted(directory.glob("*.outline")):
         source_path = _matching_source(outline_path)
         unit_profile = profile or profile_for_path(source_path.name)
-        unit = SourceUnit.from_text(
-            source_path.read_text(encoding="utf-8"), profile=unit_profile
-        )
-        gold = parse_gold_outline(outline_path.read_text(encoding="utf-8"))
+        unit = SourceUnit.from_text(read_text(source_path), profile=unit_profile)
+        gold = parse_gold_outline(read_text(outline_path))
         examples.append(FewShotExample(unit=unit, gold=gold))
     if not examples:
         raise FileNotFoundError(f"few-shot set {name_or_path!r} is empty")
@@ -93,10 +92,8 @@ def load_triage_examples(name_or_path: str = DEFAULT_SET) -> tuple[tuple[SourceU
         code_path = pred_path.with_suffix(".code")
         if not code_path.exists():
             raise FileNotFoundError(f"missing code file for {pred_path.name}")
-        unit = SourceUnit.from_text(
-            code_path.read_text(encoding="utf-8"), profile=C_LIKE_PROFILE
-        )
-        pairs.append((unit, pred_path.read_text(encoding="utf-8").rstrip("\n")))
+        unit = SourceUnit.from_text(read_text(code_path), profile=C_LIKE_PROFILE)
+        pairs.append((unit, read_text(pred_path).rstrip("\n")))
     if not pairs:
         raise FileNotFoundError(f"triage example set {name_or_path!r} is empty")
     return tuple(pairs)

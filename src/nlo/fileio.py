@@ -1,4 +1,4 @@
-"""Atomic file replacement: the one way ``nlo`` writes a file."""
+"""The one way ``nlo`` reads a text file and the one way it writes one."""
 
 import os
 from pathlib import Path
@@ -22,3 +22,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def read_text(path: str | Path) -> str:
+    """``path`` decoded as UTF-8.  Bytes that are not UTF-8 raise ``OSError``
+    naming the file, like any other file that cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text: {exc}") from exc

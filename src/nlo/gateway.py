@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import BackendError, BudgetExceededError, ReplayMissError
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 
 ROLE_LABELS = {"system": "SYSTEM INSTRUCTIONS:", "user": "USER:", "assistant": "ASSISTANT:"}
 
@@ -146,79 +147,62 @@ class CallableBackend:
 
 
 class FixtureStore:
-    """A directory of recorded responses: one file per request hash plus an
-    index file with the metadata behind each hash.
+    """A directory of recorded responses, one self-describing file per request
+    hash: ``<key>.rec`` holds the metadata as one line of JSON, then the
+    response verbatim.
 
-    Reads are lock-free once loaded; writes are serialized.
+    Each record is written under a temporary name and renamed into place, so
+    any number of threads and processes may record into one store at once
+    and readers never see a partial record.  A version-1 store (an
+    ``index.json`` plus ``<key>.txt`` files) stays readable; new recordings
+    go into ``.rec`` files and never rewrite its index.
     """
 
-    INDEX_NAME = "index.json"
+    INDEX_NAME = "index.json"  # version 1
     VERSION = 1
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
-        self._encoded: dict[str, str] | None = None  # index.json text by entry
-        self._text = ""  # index.json as read
+        self._v1: frozenset[str] = frozenset()
         index = self.root / self.INDEX_NAME
         if index.exists():
             try:
-                self._text = index.read_text(encoding="utf-8")
-                data = json.loads(self._text)
-            except ValueError as exc:  # undecodable bytes or malformed JSON
+                data = json.loads(read_text(index))
+            except OSError as exc:  # unreadable or not UTF-8
+                raise BackendError(f"fixture index {exc}") from exc
+            except ValueError as exc:
                 raise BackendError(f"fixture index {index} is not JSON: {exc}") from exc
             version = data.get("version") if isinstance(data, dict) else None
             if version != self.VERSION:
                 raise BackendError(f"fixture index version {version!r} unsupported")
-            self._entries = dict(data.get("entries", {}))
+            self._v1 = frozenset(data.get("entries", {}))
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self._v1 or (self.root / f"{key}.rec").exists()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.keys())
 
     def keys(self):
-        return sorted(self._entries)
+        names = os.listdir(self.root) if self.root.is_dir() else []
+        return sorted(self._v1.union(n[:-4] for n in names if n.endswith(".rec")))
 
     def get(self, key: str) -> str:
-        if key not in self._entries:
-            raise ReplayMissError(key)
-        return (self.root / f"{key}.txt").read_text(encoding="utf-8")
+        path = self.root / f"{key}.rec"
+        if key in self._v1 and not path.exists():
+            path = self.root / f"{key}.txt"
+        try:
+            text = read_text(path)
+        except FileNotFoundError:
+            raise ReplayMissError(key) from None
+        except OSError as exc:  # unreadable or not UTF-8
+            raise BackendError(f"fixture record {exc}") from exc
+        return text.partition("\n")[2] if path.suffix == ".rec" else text
 
     def put(self, key: str, response: str, meta: dict | None = None) -> None:
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(self.root / f"{key}.txt", response)
-            if self._encoded is None:  # entries already on disk keep their text
-                self._encoded = _entry_texts(self._text, self._entries)
-            self._entries[key] = dict(meta or {})
-            self._encoded[key] = _encoded(key, self._entries[key])
-            body = _SEP.join(self._encoded[k] for k in sorted(self._encoded))
-            write_text_atomic(self.root / self.INDEX_NAME, _OPEN + body + _CLOSE)
-
-
-# index.json as json.dumps(index, indent=2, sort_keys=True) lays it out: the
-# entries (key lines indented by 4) sit between _OPEN and _CLOSE, joined by _SEP.
-_OPEN, _SEP = '{\n  "entries": {\n    "', ',\n    "'
-_CLOSE = f'\n  }},\n  "version": {FixtureStore.VERSION}\n}}\n'
-
-
-def _entry_texts(text: str, entries: dict) -> dict[str, str]:
-    """Each entry's text, cut from ``text`` when it is laid out so, else encoded."""
-    keys = sorted(entries)
-    laid_out = text.startswith(_OPEN) and text.endswith(_CLOSE)
-    chunks = text[len(_OPEN) : -len(_CLOSE)].split(_SEP) if laid_out else []
-    heads = [f'{key}": ' for key in keys]
-    if len(chunks) != len(keys) or not all(map(str.startswith, chunks, heads)):
-        chunks = [_encoded(key, entries[key]) for key in keys]
-    return dict(zip(keys, chunks))
-
-
-def _encoded(key: str, meta) -> str:
-    """One entry as it follows ``_OPEN`` or ``_SEP`` in ``index.json``."""
-    return json.dumps({key: meta}, indent=2, sort_keys=True)[5:-2].replace("\n", "\n  ")
+        self.root.mkdir(parents=True, exist_ok=True)
+        header = json.dumps(meta or {}, sort_keys=True)  # one line: no indent
+        write_text_atomic(self.root / f"{key}.rec", f"{header}\n{response}")
 
 
 class ReplayBackend:

@@ -27,6 +27,7 @@ from .source_model import (
     leading_whitespace,
     number_lines,
 )
+from .source_model import _literals
 
 # --- Issue taxonomy ---------------------------------------------------------
 
@@ -232,6 +233,7 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
     prediction lines are ignored, like the blank-line mismatches.
     """
     profile = original.profile
+    literals = _literals(profile)  # finds comments, skipping string literals
     pred = _strip_code_fence(response)
     issues: list[ParseIssue] = []
     statements: list[OutlineStatement] = []
@@ -240,6 +242,10 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
 
     def note(kind: str, location: int | None, detail: str) -> None:
         issues.append(ParseIssue(kind, location=location, detail=detail))
+
+    def code(line: str) -> str:  # ``line`` up to its comment, if it has one
+        found = (m.start() for m in literals.finditer(line) if m.group(1) is not None)
+        return line[: next(found, None)].rstrip()
 
     def flush(anchor: int) -> None:
         if not pending:
@@ -278,9 +284,7 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
             note("missing_comment", o + 1, missing)
             o += 1
             continue
-        if _drop_trailing_comment(profile, pline) == _drop_trailing_comment(
-            profile, oline
-        ):
+        if code(pline) == code(oline):
             same = "lines match except for a trailing comment"
             note("changed_trailing_comment", o + 1, same)
             p += 1
@@ -331,15 +335,6 @@ def _strip_code_fence(response: str) -> list[str]:
     if last > first and lines[last].strip().startswith("```"):
         return lines[first + 1 : last]
     return lines[first + 1 :]
-
-
-def _drop_trailing_comment(profile: LanguageProfile, line: str) -> str:
-    token = profile.line_comment_token
-    for sep in (" " + token, "\t" + token):
-        idx = line.find(sep)
-        if idx != -1:
-            return line[:idx].rstrip()
-    return line.rstrip()
 
 
 # --- Numbered-record reading -------------------------------------------------

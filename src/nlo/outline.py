@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DanglingCommentError, PlacementError
 from .source_model import (
@@ -248,19 +248,16 @@ def remap_anchors(
     """Carry anchors from ``old_unit`` onto ``new_unit``.
 
     Lines are aligned by a longest-common-subsequence style matching;
-    statements anchored on deleted lines are dropped and returned as stale.
+    statements anchored on deleted lines, or on lines where an anchor is no
+    longer valid (say, now inside a string literal), are dropped and
+    returned as stale.
     """
     mapping = _line_mapping(old_unit, new_unit)
-    kept: list[OutlineStatement] = []
-    stale: list[OutlineStatement] = []
-    for stmt in outline.statements:
-        new_anchor = mapping.get(stmt.anchor)
-        if new_anchor is None:
-            stale.append(stmt)
-        else:
-            kept.append(
-                OutlineStatement(anchor=new_anchor, text=stmt.text, verified=stmt.verified)
-            )
+    # A deleted line maps to anchor 0, which ``validate`` reports as out of range.
+    moved = Outline(tuple(replace(s, anchor=mapping.get(s.anchor, 0)) for s in outline))
+    invalid = {v.statement_index for v in validate(moved, new_unit)}
+    kept = [s for i, s in enumerate(moved) if i not in invalid]
+    stale = [s for i, s in enumerate(outline) if i in invalid]
     return Outline(statements=tuple(kept)), stale
 
 

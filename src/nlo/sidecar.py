@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SidecarError, SidecarVersionError
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 from .outline import Outline, OutlineStatement, validate
 from .source_model import PROFILES, SourceUnit, profile_for_path
 
@@ -105,7 +105,7 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
         raise SidecarError(f"no sidecar record at {target}")
     try:
         document = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or malformed JSON
         raise SidecarError(f"sidecar record is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or "version" not in document:
         raise SidecarError("sidecar record is missing its version field")
@@ -140,6 +140,6 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
     if not source.exists():
         return record, True
     profile = PROFILES.get(record.profile_name) or profile_for_path(str(source_path))
-    current = SourceUnit.from_text(source.read_text(encoding="utf-8"), profile=profile)
+    current = SourceUnit.from_text(read_text(source), profile=profile)
     stale = content_hash(current) != record.content_hash
     return record, stale

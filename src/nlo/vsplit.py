@@ -87,13 +87,10 @@ class FileDiff:
         """The file's diff text, one entry per line."""
         return [text for text, _ in self._kinds]
 
-    def render_kinds(self) -> list[tuple[str, str]]:
-        """(text, kind) pairs; kinds: file_header, hunk_header, context,
-        added, removed."""
-        return list(self._kinds)
-
     @cached_property
     def _kinds(self) -> tuple[tuple[str, str], ...]:
+        """(text, kind) pairs; kinds: file_header, hunk_header, context,
+        added, removed."""
         out = [
             (f"--- {self.old_path}", "file_header"),
             (f"+++ {self.new_path}", "file_header"),

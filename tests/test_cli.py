@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -184,7 +185,7 @@ class LocalModel:
     and keeps the headers and JSON body of each request it receives."""
 
     def __init__(self):
-        self.status, self.body = 200, b"{}"
+        self.status, self.body, self.delay = 200, b"{}", 0.0
         self.received = []
         model = self
 
@@ -195,6 +196,7 @@ class LocalModel:
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 model.received.append((self.headers, json.loads(self.rfile.read(length))))
+                time.sleep(model.delay)
                 self.send_response(model.status)
                 self.send_header("Content-Length", str(len(model.body)))
                 self.end_headers()
@@ -289,6 +291,22 @@ class TestConfigAndBackendFailures:
         assert code == 3
         assert err.startswith("nlo: backend error: fixture index")
         assert len(err.splitlines()) == 1
+
+    def test_non_utf8_config_exits_1(self, capsys, tmp_path, sample_file):
+        config = tmp_path / "nlo.yaml"
+        config.write_bytes(b"model: \xff\n")
+        code, _, err = run(capsys, ["--config", str(config), "gen", str(sample_file)])
+        assert code == 1
+        assert err.startswith(f"nlo: {config}: not UTF-8 text")
+
+    def test_non_utf8_record_exits_3(self, capsys, sample_file, store_dir):
+        unit = SourceUnit.from_text(SAMPLE)
+        record(store_dir, build_prompt(unit, default_config()), "2| Add.")
+        [path] = store_dir.glob("*.rec")
+        path.write_bytes(path.read_bytes() + b"\xff")
+        code, _, err = run(capsys, ["gen", str(sample_file), "--fixtures", str(store_dir)])
+        assert code == 3
+        assert err.startswith("nlo: backend error: fixture record") and "not UTF-8" in err
 
     def test_non_json_body_exits_3(self, capsys, tmp_path, sample_file, local_model, monkeypatch):
         monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
@@ -413,6 +431,22 @@ class TestRenderExtractCheck:
         assert "stale" in out
 
 
+    @pytest.mark.parametrize("command", ["check", "render", "finish"])
+    def test_non_utf8_source_with_sidecar_exits_1(self, capsys, sample_file, command):
+        self.seed(sample_file)
+        sample_file.write_bytes(SAMPLE.encode("utf-8") + b"# \xff\n")
+        code, _, err = run(capsys, [command, str(sample_file)])
+        assert code == 1
+        assert err.startswith(f"nlo: {sample_file}: not UTF-8 text")
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_sidecar_is_not_valid_json(self, capsys, sample_file):
+        self.seed(sample_file)
+        sidecar_path(sample_file).write_bytes(b'{"version": "\xff"}')
+        code, _, err = run(capsys, ["check", str(sample_file)])
+        assert code == 2
+        assert err.startswith("nlo: sidecar record is not valid JSON")
+
 class TestFinish:
     def seed_edit(self, sample_file, store_dir):
         # Outline written for the original code; the user then inserts a line.
@@ -469,6 +503,28 @@ class TestFinish:
         assert record_read.statements == (
             (2, "Add the two numbers plus one.", False),
         )
+
+    def test_finish_drops_an_anchor_that_moved_into_a_string(
+        self, capsys, sample_file, store_dir
+    ):
+        unit = SourceUnit.from_text(SAMPLE)
+        outline = Outline.of(OutlineStatement(2, "Add the two numbers."))
+        sidecar_write(unit, outline, sample_file)
+        edited = SAMPLE.replace("  result = a + b\n", '  s = """\n  result = a + b\n  """\n')
+        sample_file.write_text(edited, encoding="utf-8")
+        current_unit = SourceUnit.from_text(edited)
+        current_outline, stale = remap_anchors(outline, unit, current_unit)
+        assert (current_outline, stale) == (Outline(), list(outline))
+        session = EditSession(unit, outline, current_unit, current_outline)
+        annotated = render_interleaved(
+            current_unit, Outline.of(OutlineStatement(2, "Keep the sum as text."))
+        ).text()
+        record(store_dir, build_finish_prompt(session), f"Quoted it.\n```\n{annotated}\n```")
+        argv = ["finish", str(sample_file), "--fixtures", str(store_dir), "--apply"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert "+  #* Keep the sum as text." in out
+        assert sidecar_read(sample_file)[0].statements == ((2, "Keep the sum as text.", False),)
 
 
 SPLIT_DIFF = """\
@@ -577,6 +633,16 @@ class TestSplit:
         )
         assert code == 2
         assert "hunk" in err
+
+    def test_split_non_utf8_diff_exits_1(self, capsys, tmp_path, store_dir):
+        bad = tmp_path / "bad.diff"
+        bad.write_bytes(b"--- a/f\n+++ b/f\n@@ -1 +1 @@\n-a\n+\xff\n")
+        code, _, err = run(
+            capsys,
+            ["split", str(bad), "--description", "d", "--fixtures", str(store_dir)],
+        )
+        assert code == 1
+        assert err.startswith(f"nlo: {bad}: not UTF-8 text")
 
 
 TRIAGE_RESPONSE = (
@@ -710,6 +776,72 @@ class TestFixturesCommand:
         code, out, _ = run(capsys, ["fixtures", "list", "--fixtures", str(store_dir)])
         assert code == 0
         assert out.strip() == key
+
+    @pytest.mark.parametrize("bad", ["--prompt-file", "--response-file"])
+    def test_add_non_utf8_file_exits_1(self, capsys, tmp_path, store_dir, bad):
+        argv = ["fixtures", "add", "--fixtures", str(store_dir), "--model", "m"]
+        for flag in ("--prompt-file", "--response-file"):
+            path = tmp_path / flag.strip("-")
+            path.write_bytes(b"\xff" if flag == bad else b"ok")
+            argv += [flag, str(path)]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith(f"nlo: {tmp_path / bad.strip('-')}: not UTF-8 text")
+        assert not store_dir.exists()
+
+    def test_list_and_add_on_a_version_1_store(self, capsys, tmp_path, store_dir):
+        store_dir.mkdir()
+        index = {"version": 1, "entries": {"b2": {}, "a1": {"model": "m"}}}
+        text = json.dumps(index, indent=2, sort_keys=True) + "\n"
+        (store_dir / "index.json").write_text(text, encoding="utf-8")
+        for key in index["entries"]:
+            (store_dir / f"{key}.txt").write_text(key, encoding="utf-8")
+        argv = ["fixtures", "list", "--fixtures", str(store_dir)]
+        assert run(capsys, argv)[:2] == (0, "a1\nb2\n")
+        (tmp_path / "p.txt").write_text("ask", encoding="utf-8")
+        (tmp_path / "r.txt").write_text("answer", encoding="utf-8")
+        add = ["fixtures", "add", "--fixtures", str(store_dir), "--model", "m"]
+        add += ["--prompt-file", str(tmp_path / "p.txt"), "--response-file", str(tmp_path / "r.txt")]
+        code, key, _ = run(capsys, add)
+        assert code == 0
+        keys = sorted(["a1", "b2", key.strip()])
+        assert run(capsys, argv)[1] == "".join(f"{k}\n" for k in keys)
+        assert (store_dir / "index.json").read_text(encoding="utf-8") == text
+
+
+def test_two_recording_processes_lose_no_entry(capsys, tmp_path, local_model, monkeypatch):
+    # Each process holds its own store object; both record into one directory.
+    monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+    local_model.body = json.dumps({"text": "2| Add the two numbers."}).encode("utf-8")
+    local_model.delay = 0.02  # keeps both processes recording at the same time
+    config, store = http_config(tmp_path, local_model.url), tmp_path / "store"
+    corpora = [tmp_path / "a", tmp_path / "b"]
+    for corpus in corpora:
+        corpus.mkdir()
+        for i in range(12):
+            source = SAMPLE.replace("add", f"{corpus.name}{i}")
+            (corpus / f"f{i}.py").write_text(source, encoding="utf-8")
+    head = ["--config", str(config), "eval", "--technique", "infilling"]
+    head += ["--backend", "replay", "--fixtures", str(store)]
+    path = [str(Path(nlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    recorders = [
+        subprocess.Popen(
+            [sys.executable, "-m", "nlo.cli", *head, "--record", "--corpus", str(corpus)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for corpus in corpora
+    ]
+    outputs = [recorder.communicate(timeout=120) for recorder in recorders]
+    assert [recorder.returncode for recorder in recorders] == [0, 0], outputs
+    assert len(local_model.received) == 24
+    assert len(FixtureStore(store).keys()) == 24
+    for corpus in corpora:  # a strict replay now hits every request
+        assert run(capsys, [*head, "--corpus", str(corpus)])[0] == 0
+    assert len(local_model.received) == 24
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 
 import pytest
@@ -140,24 +141,30 @@ class TestReplayBackend:
         assert "abc123" in reloaded
         assert reloaded.get("abc123") == "body"
 
-    def test_index_is_the_sorted_indented_json_of_every_entry(self, tmp_path):
-        def index_holds(entries):
-            expected = {"version": 1, "entries": entries}
-            index = (tmp_path / "index.json").read_text(encoding="utf-8")
-            return index == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-
-        compact = {"version": 1, "entries": {"8": {"model": "x"}}}
-        (tmp_path / "index.json").write_text(json.dumps(compact), encoding="utf-8")
+    def test_each_put_writes_one_record_beside_a_v1_index(self, tmp_path):
+        compact = json.dumps({"version": 1, "entries": {"8": {"model": "x"}}})
+        (tmp_path / "index.json").write_text(compact, encoding="utf-8")
+        (tmp_path / "8.txt").write_text("v1 body", encoding="utf-8")
         metas = [{}, {"model": "m", "temperature": 0.5}, {"x": [1, {"y": 'ü\n"'}]}]
         store = FixtureStore(tmp_path)
         for i, meta in enumerate(metas):
-            store.put(f"{7 - i}", "body", meta=meta)
-        entries = {"8": {"model": "x"}, "7": {}, "6": metas[1], "5": metas[2]}
-        assert index_holds(entries)
+            store.put(f"{7 - i}", f"body\n{i}", meta=meta)
         FixtureStore(tmp_path).put("5", "other", meta={"model": "n"})
-        assert index_holds({**entries, "5": {"model": "n"}})
+        reloaded = FixtureStore(tmp_path)
+        assert reloaded.keys() == ["5", "6", "7", "8"]
+        assert reloaded.get("8") == "v1 body"
+        records = {
+            "7": ({}, "body\n0"),
+            "6": (metas[1], "body\n1"),
+            "5": ({"model": "n"}, "other"),
+        }
+        for key, (meta, body) in records.items():
+            text = (tmp_path / f"{key}.rec").read_text(encoding="utf-8")
+            assert text == json.dumps(meta, sort_keys=True) + "\n" + body
+            assert reloaded.get(key) == body
+        assert (tmp_path / "index.json").read_text(encoding="utf-8") == compact
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["5.txt", "6.txt", "7.txt", "index.json"]
+        assert names == ["5.rec", "6.rec", "7.rec", "8.txt", "index.json"]
 
     def test_concurrent_reads(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -176,6 +183,65 @@ class TestReplayBackend:
             t.join()
         assert results == ["shared"] * 8
 
+
+
+class TestFixtureStore:
+    def test_two_store_objects_keep_each_others_records(self, tmp_path):
+        a, b = FixtureStore(tmp_path), FixtureStore(tmp_path)
+        a.put("1", "one")
+        b.put("2", "two")
+        assert FixtureStore(tmp_path).keys() == ["1", "2"]
+        assert (len(a), a.get("2"), b.get("1")) == (2, "two", "one")
+
+    def test_threads_recording_at_once_lose_nothing(self, tmp_path):
+        store = FixtureStore(tmp_path / "new")
+        threads = [
+            threading.Thread(target=store.put, args=(f"k{i}", f"r{i}")) for i in range(16)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert FixtureStore(tmp_path / "new").keys() == sorted(f"k{i}" for i in range(16))
+        assert sorted(p.suffix for p in (tmp_path / "new").iterdir()) == [".rec"] * 16
+
+    @pytest.mark.parametrize(
+        "response", ["", "\n", "{}\nnot meta", "line\n\n", "ü \\n\ttab", '{"a": 1}']
+    )
+    def test_record_round_trips_the_response_verbatim(self, tmp_path, response):
+        FixtureStore(tmp_path).put("k", response, meta={"note": "two\nlines"})
+        assert FixtureStore(tmp_path).get("k") == response
+        header = (tmp_path / "k.rec").read_text(encoding="utf-8").split("\n")[0]
+        assert json.loads(header) == {"note": "two\nlines"}
+
+    def test_version_1_store_replays_byte_identically(self, tmp_path):
+        backend = ReplayBackend(FixtureStore(tmp_path), model_id="m")
+        key = backend.key_for(make_request())
+        body = "  indented\n\n* bullet ü\n\n"
+        entries = {key: {"model": "m"}, "other": {}}
+        index = {"version": 1, "entries": entries}
+        (tmp_path / "index.json").write_text(json.dumps(index, indent=2), encoding="utf-8")
+        (tmp_path / f"{key}.txt").write_text(body, encoding="utf-8")
+        store = FixtureStore(tmp_path)
+        assert (key in store, "other" in store, "missing" in store) == (True, True, False)
+        assert ReplayBackend(store, model_id="m").complete(make_request()) == body
+        assert store.keys() == sorted(entries)
+        store.put(key, "new")  # a record written later wins over the v1 text
+        assert FixtureStore(tmp_path).get(key) == "new"
+        with pytest.raises(ReplayMissError):
+            store.get("missing")
+
+    @pytest.mark.parametrize("name", ["k.rec", "index.json"])
+    def test_non_utf8_store_file_is_a_backend_error(self, tmp_path, name):
+        (tmp_path / name).write_bytes(b"{}\n\xff")
+        with pytest.raises(BackendError, match="not UTF-8"):
+            FixtureStore(tmp_path).get("k")
 
 class TestCallableBackend:
     def test_maps_prompt_to_response(self):

@@ -243,6 +243,16 @@ class TestParseInterleavedErrors:
         assert len(report.outline) == 0
 
 
+    def test_edit_inside_a_string_after_the_comment_token_is_changed_code(self):
+        unit = SourceUnit.from_text('def f():\n  x = "a #b"  # note\n  return x')
+        head = "def f():\n  # Set x.\n"
+        report = parse_interleaved(head + '  x = "a #c"  # note\n  return x', unit)
+        assert [(i.kind, i.severity) for i in report.issues] == [("changed_code", "major")]
+        assert report.truncated
+        retold = parse_interleaved(head + '  x = "a #b"  # other\n  return x', unit)
+        assert kinds(retold) == ["changed_trailing_comment"]
+
+
 INFILLING_ERROR_FIXTURES = {
     "malformed_line": "not a numbered line\n2| Start from zero.",
     "line_number_out_of_bounds": "99| Nope.\n2| Start from zero.",

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlo.fewshots import load_fewshot_set
 from nlo.generation import comment_slot_positions, parse_infilling
-from nlo.outline import Outline, OutlineStatement, extract, validate
+from nlo.outline import Outline, OutlineStatement, extract, remap_anchors, validate
 from nlo.source_model import C_LIKE_PROFILE, SourceUnit, docstring_span
 
 from conftest import SQ_CODE, TOUR_ANNOTATED, TOUR_CODE
@@ -191,3 +191,23 @@ class TestModel:
     def test_model_is_computed_once(self):
         unit = SourceUnit.from_text("def f():\n  return 1")
         assert unit._line_model is unit._line_model
+
+
+class TestRemapAnchors:
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_units(), shuffled_units(), st.integers(0, 10))
+    def test_every_kept_anchor_is_valid_on_the_new_unit(self, old, inserted, at):
+        new = SourceUnit(lines=old.lines[:at] + inserted.lines + old.lines[at:])
+        steps = (OutlineStatement(n, "Step.") for n in range(1, len(old) + 1))
+        outline = Outline(tuple(s for s in steps if not validate(Outline.of(s), old)))
+        kept, stale = remap_anchors(outline, old, new)
+        assert validate(kept, new) == []
+        assert len(kept) + len(stale) == len(outline)
+
+    def test_anchor_wrapped_in_a_string_is_stale(self):
+        old = SourceUnit.from_text("def f():\n  x = 1\n  return x")
+        new = SourceUnit.from_text('def f():\n  s = """\n  x = 1\n  """\n  return x')
+        outline = Outline.of(OutlineStatement(2, "Set x."), OutlineStatement(3, "Give x."))
+        kept, stale = remap_anchors(outline, old, new)
+        assert kept == Outline.of(OutlineStatement(5, "Give x."))
+        assert stale == [OutlineStatement(2, "Set x.")]
