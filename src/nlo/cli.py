@@ -321,22 +321,24 @@ def _cmd_finish(args, settings: Settings) -> int:
         old_outline = old_record.outline()
     else:
         record, _stale = sidecar_read(args.file)
-        snapshot = record.snapshot_unit()
-        if snapshot is None:
+        if record.snapshot is None:
             raise NloError(
                 "sidecar has no code snapshot; pass --old or regenerate with 'nlo gen'"
             )
-        old_unit = snapshot
+        old_unit = SourceUnit(lines=record.snapshot, profile=annotated.profile)
         old_outline = record.outline()
     if not has_star_comments:
         current_outline, _ = remap_anchors(old_outline, old_unit, current_unit)
 
-    session = EditSession(
-        old_unit=old_unit,
-        old_outline=old_outline,
-        current_unit=current_unit,
-        current_outline=current_outline,
-    )
+    try:
+        session = EditSession(
+            old_unit=old_unit,
+            old_outline=old_outline,
+            current_unit=current_unit,
+            current_outline=current_outline,
+        )
+    except ValueError as exc:  # a sidecar outline that no longer fits its code
+        raise NloError(str(exc)) from exc
     backend = make_backend(settings)
     result = finish_changes(
         session,
@@ -438,7 +440,14 @@ def _cmd_eval(args, settings: Settings) -> int:
     configs = {t: _prompt_config(settings, t) for t in techniques}
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
-    rows = evaluate_corpus(corpus, configs, backends, max_workers=args.workers)
+    rows = evaluate_corpus(
+        corpus,
+        configs,
+        backends,
+        max_workers=args.workers,
+        temperature=settings.temperature,
+        max_output=settings.max_output,
+    )
     print(render_eval_table(rows), end="")
     if args.json_out:
         write_text_atomic(args.json_out, eval_rows_to_json(rows))

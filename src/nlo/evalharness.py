@@ -43,10 +43,13 @@ def evaluate_corpus(
     configs: dict[str, PromptConfig],
     backends: list[Backend],
     max_workers: int = 1,
+    temperature: float = 0.0,
+    max_output: int | None = None,
 ) -> list[EvalRow]:
     """Run every (unit, technique, backend) combination and tabulate.
 
-    ``configs`` maps technique name to the prompt config to use for it.
+    ``configs`` maps technique name to the prompt config to use for it;
+    every request is sent with ``temperature`` and ``max_output``.
     Rows come back sorted by backend id then technique.
     """
     if not corpus:
@@ -62,7 +65,8 @@ def evaluate_corpus(
 
     def run(job):
         backend, technique, config, unit = job
-        return backend, technique, generate_outline(unit, config, backend)
+        report = generate_outline(unit, config, backend, temperature, max_output)
+        return backend, technique, report
 
     results = fan_out(run, jobs, max_workers)
 

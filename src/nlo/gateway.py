@@ -15,7 +15,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .errors import BackendError, BudgetExceededError, ReplayMissError
 from .fileio import read_text, write_text_atomic
@@ -67,9 +67,14 @@ class ChatPrompt:
         return msgs
 
 
-def user_prompt(system: str, user_text: str) -> ChatPrompt:
-    """A one-shot prompt ending with an empty assistant cue."""
-    return ChatPrompt(system=system, turns=(("user", user_text), ("assistant", "")))
+def user_prompt(
+    system: str, user_text: str, shots: Iterable[tuple[str, str]] = ()
+) -> ChatPrompt:
+    """The few-shot prompt every pipeline sends: the demonstration
+    ``(user, assistant)`` pairs in ``shots``, then ``user_text``, then an
+    empty assistant cue."""
+    turns = [turn for user, reply in shots for turn in (("user", user), ("assistant", reply))]
+    return ChatPrompt(system=system, turns=(*turns, ("user", user_text), ("assistant", "")))
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,12 @@ def complete(request: GenerationRequest, backend: Backend) -> str:
             f"response length {len(text)} exceeds budget {request.max_output}"
         )
     return text
+
+
+def _ask(prompt: ChatPrompt, backend: Backend, temperature: float, max_output: int | None) -> str:
+    """The pipelines' one request path: send ``prompt`` with these settings."""
+    request = GenerationRequest(prompt=prompt, temperature=temperature, max_output=max_output)
+    return complete(request, backend)
 
 
 class ScriptedBackend:
@@ -191,11 +202,13 @@ class FixtureStore:
         path = self.root / f"{key}.rec"
         if key in self._v1 and not path.exists():
             path = self.root / f"{key}.txt"
-        try:
-            text = read_text(path)
+        try:  # bytes, not read_text: a response replays without newline translation
+            text = path.read_bytes().decode("utf-8")
         except FileNotFoundError:
             raise ReplayMissError(key) from None
-        except OSError as exc:  # unreadable or not UTF-8
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"fixture record {path}: not UTF-8 text: {exc}") from exc
+        except OSError as exc:
             raise BackendError(f"fixture record {exc}") from exc
         return text.partition("\n")[2] if path.suffix == ".rec" else text
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .gateway import Backend, ChatPrompt, GenerationRequest, complete
+from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .outline import Outline, OutlineStatement, validate
 from .outline import _comment_text, _interleave, _joined
 from .source_model import (
@@ -198,13 +198,11 @@ def build_prompt(unit: SourceUnit, config: PromptConfig) -> ChatPrompt:
     assistant cue."""
     if len(unit) == 0:
         raise ValueError("cannot build a prompt for an empty unit")
-    turns: list[tuple[str, str]] = []
-    for example in config.few_shots:
-        turns.append(("user", _user_turn(example.unit, config.technique)))
-        turns.append(("assistant", _assistant_turn(example, config.technique)))
-    turns.append(("user", _user_turn(unit, config.technique)))
-    turns.append(("assistant", ""))
-    return ChatPrompt(system=config.instructions, turns=tuple(turns))
+    shots = [
+        (_user_turn(example.unit, config.technique), _assistant_turn(example, config.technique))
+        for example in config.few_shots
+    ]
+    return user_prompt(config.instructions, _user_turn(unit, config.technique), shots)
 
 
 def _user_turn(unit: SourceUnit, technique: str) -> str:
@@ -572,11 +570,7 @@ def generate_outline(
     max_output: int | None = None,
 ) -> ParseReport:
     """Prompt, complete, and parse with the technique-matched parser."""
-    prompt = build_prompt(unit, config)
-    response = complete(
-        GenerationRequest(prompt=prompt, temperature=temperature, max_output=max_output),
-        backend,
-    )
+    response = _ask(build_prompt(unit, config), backend, temperature, max_output)
     if config.technique == "interleaved":
         return parse_interleaved(response, unit)
     return parse_infilling(response, unit)

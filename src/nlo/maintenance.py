@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FinishParseError
-from .gateway import Backend, ChatPrompt, GenerationRequest, complete
+from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .outline import Outline, extract, render_interleaved, validate
 from .source_model import LanguageProfile, SourceUnit
 
@@ -110,13 +110,7 @@ def unified_diff_text(a: SourceUnit, b: SourceUnit, path: str) -> str:
 def build_finish_prompt(session: EditSession) -> ChatPrompt:
     old = render_interleaved(session.old_unit, session.old_outline).text()
     current = render_interleaved(session.current_unit, session.current_outline).text()
-    return ChatPrompt(
-        system=FINISH_INSTRUCTIONS,
-        turns=(
-            ("user", _FINISH_USER.format(old=old, current=current)),
-            ("assistant", ""),
-        ),
-    )
+    return user_prompt(FINISH_INSTRUCTIONS, _FINISH_USER.format(old=old, current=current))
 
 
 def finish_changes(
@@ -128,11 +122,7 @@ def finish_changes(
 ) -> FinishResult:
     """Run one finish-changes query.  The diff is data; applying it is a
     separate, explicit action."""
-    prompt = build_finish_prompt(session)
-    response = complete(
-        GenerationRequest(prompt=prompt, temperature=temperature, max_output=max_output),
-        backend,
-    )
+    response = _ask(build_finish_prompt(session), backend, temperature, max_output)
     reasoning, new_unit, new_outline = parse_finish_response(
         response, session.current_unit.profile
     )

@@ -3,8 +3,8 @@
 The record lives in ``<source>.nlo.json`` and is keyed by a content hash of
 the bare code, so any edit to the source marks the record stale.  The hash
 algorithm is pinned by the schema version to keep staleness reproducible.
-An optional snapshot of the bare code lines supports the finish-changes
-workflow, which needs the code as it was when the outline was written.
+A snapshot of the bare code lines supports the finish-changes workflow,
+which needs the code as it was when the outline was written.
 """
 
 from __future__ import annotations
@@ -57,13 +57,9 @@ def sidecar_path(source_path: str | Path) -> Path:
     return Path(str(source_path) + SIDECAR_SUFFIX)
 
 
-def sidecar_write(
-    unit: SourceUnit,
-    outline: Outline,
-    source_path: str | Path,
-    include_snapshot: bool = True,
-) -> SidecarRecord:
-    """Write the outline record adjacent to the source file."""
+def sidecar_write(unit: SourceUnit, outline: Outline, source_path: str | Path) -> SidecarRecord:
+    """Write the outline record, with a snapshot of the code, adjacent to the
+    source file."""
     violations = validate(outline, unit)
     if violations:
         raise SidecarError(
@@ -76,7 +72,7 @@ def sidecar_write(
         content_hash=content_hash(unit),
         statements=tuple((s.anchor, s.text, s.verified) for s in outline.statements),
         profile_name=unit.profile.name,
-        snapshot=unit.lines if include_snapshot else None,
+        snapshot=unit.lines,
     )
     document = {
         "version": record.version,
@@ -87,9 +83,8 @@ def sidecar_write(
             {"line": line, "text": text, "verified": verified}
             for line, text, verified in record.statements
         ],
+        "snapshot": list(record.snapshot),
     }
-    if record.snapshot is not None:
-        document["snapshot"] = list(record.snapshot)
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     write_text_atomic(sidecar_path(source_path), text)
     return record
@@ -139,7 +134,5 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
     source = Path(source_path)
     if not source.exists():
         return record, True
-    profile = PROFILES.get(record.profile_name) or profile_for_path(str(source_path))
-    current = SourceUnit.from_text(read_text(source), profile=profile)
-    stale = content_hash(current) != record.content_hash
+    stale = content_hash(SourceUnit.from_text(read_text(source))) != record.content_hash
     return record, stale

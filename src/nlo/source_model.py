@@ -36,34 +36,30 @@ MAX_NUMBERED_LINES = 999
 class LanguageProfile:
     """Comment syntax and docstring convention for one language.
 
-    ``star_suffix`` and ``verified_suffix`` are fixed: a star comment is the
-    line-comment token immediately followed by ``*`` (e.g. ``#*`` or ``//*``)
-    and a verified star comment appends ``!`` (``#*!``).
+    A star comment is the line-comment token immediately followed by ``*``
+    (e.g. ``#*`` or ``//*``) and a verified star comment appends ``!``
+    (``#*!``).
     """
 
     name: str
     line_comment_token: str
     docstring_rule: str = "none"  # "python_triple_quote" or "none"
-    star_suffix: str = "*"
-    verified_suffix: str = "!"
 
     def __post_init__(self) -> None:
         if not self.line_comment_token or any(
             c.isspace() for c in self.line_comment_token
         ):
             raise ValueError("line comment token must be non-empty without whitespace")
-        if self.star_suffix != "*" or self.verified_suffix != "!":
-            raise ValueError("star comment suffixes are fixed to '*' and '!'")
         if self.docstring_rule not in ("python_triple_quote", "none"):
             raise ValueError(f"unknown docstring rule: {self.docstring_rule}")
 
     @property
     def star_prefix(self) -> str:
-        return self.line_comment_token + self.star_suffix
+        return self.line_comment_token + "*"
 
     @property
     def verified_prefix(self) -> str:
-        return self.star_prefix + self.verified_suffix
+        return self.star_prefix + "!"
 
 
 PYTHON_PROFILE = LanguageProfile(

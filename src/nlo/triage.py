@@ -16,7 +16,7 @@ import textwrap
 from dataclasses import dataclass
 
 from .fewshots import load_triage_examples
-from .gateway import Backend, ChatPrompt, GenerationRequest, complete
+from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .outline import Outline, OutlineStatement
 from .source_model import SourceUnit, number_lines
 
@@ -147,13 +147,8 @@ def triage_wire_text(prediction: TriagePrediction) -> str:
 def build_triage_prompt(
     unit: SourceUnit, examples: tuple[tuple[SourceUnit, str], ...]
 ) -> ChatPrompt:
-    turns: list[tuple[str, str]] = []
-    for example_unit, wire in examples:
-        turns.append(("user", _TRIAGE_USER.format(code=number_lines(example_unit))))
-        turns.append(("assistant", wire))
-    turns.append(("user", _TRIAGE_USER.format(code=number_lines(unit))))
-    turns.append(("assistant", ""))
-    return ChatPrompt(system=TRIAGE_INSTRUCTIONS, turns=tuple(turns))
+    shots = [(_TRIAGE_USER.format(code=number_lines(u)), wire) for u, wire in examples]
+    return user_prompt(TRIAGE_INSTRUCTIONS, _TRIAGE_USER.format(code=number_lines(unit)), shots)
 
 
 def triage(
@@ -167,10 +162,6 @@ def triage(
     """Run one triage query and flag score/outline inconsistency."""
     if examples is None:
         examples = load_triage_examples()
-    prompt = build_triage_prompt(unit, examples)
-    response = complete(
-        GenerationRequest(prompt=prompt, temperature=temperature, max_output=max_output),
-        backend,
-    )
+    response = _ask(build_triage_prompt(unit, examples), backend, temperature, max_output)
     prediction = parse_triage(response, summary_line_width=summary_line_width)
     return TriageResult(prediction=prediction, consistent=prediction.consistent())

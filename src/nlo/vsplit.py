@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .errors import DiffParseError, TopicParseError
 from .fanout import fan_out
-from .gateway import Backend, ChatPrompt, GenerationRequest, complete
+from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .generation import ParseIssue, _order_records, _scan_records
 
 OTHER_CHANGES = "Other changes"
@@ -403,14 +403,10 @@ def parse_topics(response: str) -> tuple[Topic, ...]:
 
 def build_topics_prompt(cl: ChangeList) -> ChatPrompt:
     diffs = "\n".join(f.text() for f in cl.files)
-    return ChatPrompt(
-        system=TOPICS_INSTRUCTIONS,
-        turns=(
-            ("user", _TOPICS_EXAMPLE_USER),
-            ("assistant", _TOPICS_EXAMPLE_ASSISTANT),
-            ("user", _TOPICS_USER.format(description=cl.description, diffs=diffs)),
-            ("assistant", ""),
-        ),
+    return user_prompt(
+        TOPICS_INSTRUCTIONS,
+        _TOPICS_USER.format(description=cl.description, diffs=diffs),
+        [(_TOPICS_EXAMPLE_USER, _TOPICS_EXAMPLE_ASSISTANT)],
     )
 
 
@@ -422,14 +418,7 @@ def generate_topics(
 ) -> tuple[Topic, ...]:
     if not cl.files:
         raise ValueError("change list has no files")
-    response = complete(
-        GenerationRequest(
-            prompt=build_topics_prompt(cl),
-            temperature=temperature,
-            max_output=max_output,
-        ),
-        backend,
-    )
+    response = _ask(build_topics_prompt(cl), backend, temperature, max_output)
     return parse_topics(response)
 
 
@@ -464,19 +453,13 @@ def build_sections_prompt(
     description: str, filediff: FileDiff, topics: tuple[Topic, ...]
 ) -> ChatPrompt:
     topic_lines = "\n".join(f"{t.index}. {t.title}" for t in topics)
-    return ChatPrompt(
-        system=SECTIONS_INSTRUCTIONS,
-        turns=(
-            (
-                "user",
-                _SECTIONS_USER.format(
-                    description=description,
-                    path=filediff.path,
-                    numbered=number_diff(filediff),
-                    topics=topic_lines,
-                ),
-            ),
-            ("assistant", ""),
+    return user_prompt(
+        SECTIONS_INSTRUCTIONS,
+        _SECTIONS_USER.format(
+            description=description,
+            path=filediff.path,
+            numbered=number_diff(filediff),
+            topics=topic_lines,
         ),
     )
 
@@ -524,14 +507,8 @@ def split_file(
 ) -> tuple[tuple[Section, ...], tuple[ParseIssue, ...]]:
     if not topics:
         raise ValueError("topics must be non-empty")
-    response = complete(
-        GenerationRequest(
-            prompt=build_sections_prompt(description, filediff, topics),
-            temperature=temperature,
-            max_output=max_output,
-        ),
-        backend,
-    )
+    prompt = build_sections_prompt(description, filediff, topics)
+    response = _ask(prompt, backend, temperature, max_output)
     return parse_sections(response, filediff, topics)
 
 

@@ -23,7 +23,7 @@ from nlo.generation import (
 from nlo.maintenance import EditSession, build_finish_prompt
 from nlo.outline import Outline, OutlineStatement, remap_anchors, render_interleaved
 from nlo.sidecar import sidecar_path, sidecar_read, sidecar_write
-from nlo.source_model import SourceUnit
+from nlo.source_model import LanguageProfile, SourceUnit
 from nlo.triage import build_triage_prompt
 from nlo.vsplit import (
     ChangeList,
@@ -526,6 +526,44 @@ class TestFinish:
         assert "+  #* Keep the sum as text." in out
         assert sidecar_read(sample_file)[0].statements == ((2, "Keep the sum as text.", False),)
 
+    def test_finish_old_whose_sidecar_no_longer_fits_exits_2(self, capsys, tmp_path):
+        old = tmp_path / "old.py"
+        sidecar_write(
+            SourceUnit.from_text(SAMPLE), Outline.of(OutlineStatement(3, "Return it.")), old
+        )
+        old.write_text("def add(a, b):\n  return a + b\n", encoding="utf-8")
+        new = tmp_path / "new.py"
+        new.write_text(SAMPLE, encoding="utf-8")
+        code, _, err = run(capsys, ["finish", str(new), "--old", str(old)])
+        assert code == 2
+        assert err.startswith("nlo: old outline does not fit its code:")
+        assert len(err.splitlines()) == 1
+
+    def test_finish_renders_the_old_code_with_the_config_profile(
+        self, capsys, tmp_path, store_dir
+    ):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            "profiles:\n  - name: lua\n    line_comment_token: '--'\n", encoding="utf-8"
+        )
+        lua = LanguageProfile(name="lua", line_comment_token="--")
+        source = tmp_path / "f.lua"
+        source.write_text("local x = 1\nreturn x\n", encoding="utf-8")
+        unit = SourceUnit.from_text(source.read_text(), profile=lua)
+        record(store_dir, build_prompt(unit, default_config()), "1| Set x.")
+        store = ["--fixtures", str(store_dir)]
+        assert run(capsys, ["--config", str(config), "gen", str(source), *store])[0] == 0
+        source.write_text("local x = 1\nx = x + 1\nreturn x\n", encoding="utf-8")
+        current = SourceUnit.from_text(source.read_text(), profile=lua)
+        outline = Outline.of(OutlineStatement(1, "Set x."))
+        prompt = build_finish_prompt(EditSession(unit, outline, current, outline))
+        assert prompt.serialize().count("--* Set x.") == 2
+        record(store_dir, prompt, "Kept.\n```\n--* Set x.\nlocal x = 1\nreturn x\n```")
+        code, out, err = run(capsys, ["--config", str(config), "finish", str(source), *store])
+        assert code == 0, err
+        assert "-x = x + 1" in out
+
+
 
 SPLIT_DIFF = """\
 --- a/alpha.py
@@ -748,6 +786,34 @@ class TestEval:
                 "avg_statements": 1.0,
             }
         ]
+
+    def test_eval_sends_the_configured_budget(self, capsys, tmp_path):
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "one.py").write_text(SAMPLE, encoding="utf-8")
+        config = tmp_path / "nlo.yaml"
+        config.write_text("max_output: 3\n", encoding="utf-8")
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps(["2| Add them."]), encoding="utf-8")
+        argv = ["--config", str(config), "eval", "--corpus", str(tmp_path / "corpus")]
+        argv += ["--technique", "infilling", "--responses-file", str(responses)]
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "exceeds budget 3" in err
+
+    def test_eval_replays_at_the_configured_temperature(self, capsys, tmp_path, store_dir):
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "one.py").write_text(SAMPLE, encoding="utf-8")
+        config = tmp_path / "nlo.yaml"
+        config.write_text("temperature: 0.5\n", encoding="utf-8")
+        prompt = build_prompt(SourceUnit.from_text(SAMPLE), default_config())
+        backend = ReplayBackend(FixtureStore(store_dir), model_id="default")
+        key = backend.key_for(GenerationRequest(prompt=prompt, temperature=0.5))
+        FixtureStore(store_dir).put(key, "2| Add them.")
+        argv = ["--config", str(config), "eval", "--corpus", str(tmp_path / "corpus")]
+        argv += ["--technique", "infilling", "--fixtures", str(store_dir)]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert "1.00" in out
 
 
 class TestFixturesCommand:

@@ -237,6 +237,17 @@ class TestFixtureStore:
         with pytest.raises(ReplayMissError):
             store.get("missing")
 
+    @pytest.mark.parametrize("suffix", [".rec", ".txt"])
+    def test_carriage_returns_replay_verbatim(self, tmp_path, suffix):
+        response = "a\r\nb\rc\r"
+        if suffix == ".txt":  # a hand-written version-1 store
+            index = {"version": 1, "entries": {"k": {}}}
+            (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
+            (tmp_path / "k.txt").write_bytes(response.encode("utf-8"))
+        else:
+            FixtureStore(tmp_path).put("k", response)
+        assert FixtureStore(tmp_path).get("k") == response
+
     @pytest.mark.parametrize("name", ["k.rec", "index.json"])
     def test_non_utf8_store_file_is_a_backend_error(self, tmp_path, name):
         (tmp_path / name).write_bytes(b"{}\n\xff")
