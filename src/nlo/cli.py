@@ -61,16 +61,16 @@ def _instructions(technique: str) -> str:
     )
 
 
-def _prompt_config(settings: Settings, technique: str) -> PromptConfig:
+def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
+    """One prompt config per technique, sharing one load of the few-shot set."""
     try:
         few_shots = load_fewshot_set(settings.fewshot_set)
     except ValueError as exc:  # a malformed or ill-fitting gold outline
         raise ConfigError(f"few-shot set {settings.fewshot_set!r}: {exc}") from exc
-    return PromptConfig(
-        technique=technique,
-        instructions=_instructions(technique),
-        few_shots=few_shots,
-    )
+    return {
+        t: PromptConfig(technique=t, instructions=_instructions(t), few_shots=few_shots)
+        for t in techniques
+    }
 
 
 def _load_unit(path: str, settings: Settings) -> SourceUnit:
@@ -239,7 +239,7 @@ def _cmd_gen(args, settings: Settings) -> int:
     technique = args.technique or settings.technique
     annotated = _load_unit(args.file, settings)
     unit, _existing = extract(annotated)
-    config = _prompt_config(settings, technique)
+    config = _prompt_configs(settings, [technique])[technique]
     backend = make_backend(settings)
     report = generate_outline(
         unit,
@@ -437,7 +437,7 @@ def _cmd_eval(args, settings: Settings) -> int:
         _load_unit(str(p), settings) for p in sorted(corpus_dir.glob("*.py"))
     ]
     techniques = args.technique or ["interleaved", "infilling"]
-    configs = {t: _prompt_config(settings, t) for t in techniques}
+    configs = _prompt_configs(settings, techniques)
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
     rows = evaluate_corpus(

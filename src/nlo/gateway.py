@@ -245,10 +245,11 @@ class ReplayBackend:
 
     def complete(self, request: GenerationRequest) -> str:
         key = self.key_for(request)
-        if key in self.store:
+        try:  # one open per hit; a miss is the missing record
             return self.store.get(key)
-        if self.record_from is None:
-            raise ReplayMissError(key)
+        except ReplayMissError:
+            if self.record_from is None:
+                raise
         response = self.record_from.complete(request)
         self.store.put(
             key,

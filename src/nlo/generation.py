@@ -12,6 +12,7 @@ the outline; major issues affect outline quality.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -176,6 +177,15 @@ class PromptConfig:
         if self.technique not in TECHNIQUES:
             raise ValueError(f"unknown technique: {self.technique}")
 
+    @functools.cached_property
+    def _shots(self) -> tuple[tuple[str, str], ...]:
+        """The demonstration ``(user, assistant)`` turns, rendered once per
+        config: every prompt built from it repeats them verbatim."""
+        return tuple(
+            (_user_turn(example.unit, self.technique), _assistant_turn(example, self.technique))
+            for example in self.few_shots
+        )
+
 
 def infill_text(outline: Outline) -> str:
     """Canonical line-number serialization: one ``N| text`` line per statement."""
@@ -198,11 +208,7 @@ def build_prompt(unit: SourceUnit, config: PromptConfig) -> ChatPrompt:
     assistant cue."""
     if len(unit) == 0:
         raise ValueError("cannot build a prompt for an empty unit")
-    shots = [
-        (_user_turn(example.unit, config.technique), _assistant_turn(example, config.technique))
-        for example in config.few_shots
-    ]
-    return user_prompt(config.instructions, _user_turn(unit, config.technique), shots)
+    return user_prompt(config.instructions, _user_turn(unit, config.technique), config._shots)
 
 
 def _user_turn(unit: SourceUnit, technique: str) -> str:
@@ -259,7 +265,8 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
     while p < pred_len and o < orig_len:
         pline, oline = pred[p], original.lines[o]
         if pline.rstrip() == oline.rstrip():
-            flush(o + 1)
+            if pending:
+                flush(o + 1)
             p += 1
             o += 1
             continue
@@ -329,7 +336,7 @@ def _strip_code_fence(response: str) -> list[str]:
     first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if first is None or not lines[first].strip().startswith("```"):
         return lines
-    last = max(i for i, ln in enumerate(lines) if ln.strip())
+    last = next(i for i in range(len(lines) - 1, first - 1, -1) if lines[i].strip())
     if last > first and lines[last].strip().startswith("```"):
         return lines[first + 1 : last]
     return lines[first + 1 :]

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import SidecarError, SidecarVersionError
 from .fileio import read_text, write_text_atomic
 from .outline import Outline, OutlineStatement, validate
-from .source_model import PROFILES, SourceUnit, profile_for_path
+from .source_model import PROFILES, SourceUnit
 
 SCHEMA_VERSION = 1  # version 1 pins sha256 over LF-joined lines
 
@@ -49,7 +49,9 @@ class SidecarRecord:
     def snapshot_unit(self) -> SourceUnit | None:
         if self.snapshot is None:
             return None
-        profile = PROFILES.get(self.profile_name) or profile_for_path(self.source_path)
+        profile = PROFILES.get(self.profile_name)
+        if profile is None:  # a config-defined profile: its syntax is not in the record
+            raise ValueError(f"sidecar profile {self.profile_name!r} is not a shipped profile")
         return SourceUnit(lines=self.snapshot, profile=profile)
 
 

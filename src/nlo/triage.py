@@ -11,6 +11,7 @@ possibly with the sentinel score -1 and bracketed error strings.
 
 from __future__ import annotations
 
+import functools
 import re
 import textwrap
 from dataclasses import dataclass
@@ -147,8 +148,17 @@ def triage_wire_text(prediction: TriagePrediction) -> str:
 def build_triage_prompt(
     unit: SourceUnit, examples: tuple[tuple[SourceUnit, str], ...]
 ) -> ChatPrompt:
-    shots = [(_TRIAGE_USER.format(code=number_lines(u)), wire) for u, wire in examples]
-    return user_prompt(TRIAGE_INSTRUCTIONS, _TRIAGE_USER.format(code=number_lines(unit)), shots)
+    user_text = _TRIAGE_USER.format(code=number_lines(unit))
+    return user_prompt(TRIAGE_INSTRUCTIONS, user_text, _example_turns(examples))
+
+
+@functools.lru_cache(maxsize=8)
+def _example_turns(
+    examples: tuple[tuple[SourceUnit, str], ...],
+) -> tuple[tuple[str, str], ...]:
+    """The numbered demonstration turns for one example set, built once:
+    every triage prompt in a run repeats them verbatim."""
+    return tuple((_TRIAGE_USER.format(code=number_lines(u)), wire) for u, wire in examples)
 
 
 def triage(

@@ -126,6 +126,34 @@ class TestReplayBackend:
         with pytest.raises(ReplayMissError):
             backend.complete(make_request())
 
+    def test_strict_miss_names_the_key(self, tmp_path):
+        backend = ReplayBackend(FixtureStore(tmp_path), model_id="m")
+        with pytest.raises(ReplayMissError) as caught:
+            backend.complete(make_request())
+        assert caught.value.key == backend.key_for(make_request())
+
+    def test_hit_reads_the_record_without_a_membership_check(self, tmp_path, monkeypatch):
+        store = FixtureStore(tmp_path)
+        backend = ReplayBackend(store, model_id="m")
+        store.put(backend.key_for(make_request()), "recorded text")
+
+        def refuse(self, key):
+            raise AssertionError("a replay hit should cost one open, not a stat and an open")
+
+        monkeypatch.setattr(FixtureStore, "__contains__", refuse)
+        assert backend.complete(make_request()) == "recorded text"
+
+    def test_v1_key_without_its_text_file_records(self, tmp_path):
+        backend = ReplayBackend(FixtureStore(tmp_path), model_id="m")
+        key = backend.key_for(make_request())
+        index = {"version": 1, "entries": {key: {}}}
+        (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
+        store = FixtureStore(tmp_path)
+        inner = ScriptedBackend(["live answer"])
+        recording = ReplayBackend(store, model_id="m", record_from=inner)
+        assert recording.complete(make_request()) == "live answer"
+        assert FixtureStore(tmp_path).get(key) == "live answer"
+
     def test_record_mode_records_once(self, tmp_path):
         inner = ScriptedBackend(["live answer"])
         store = FixtureStore(tmp_path)

@@ -11,7 +11,7 @@ from nlo.sidecar import (
     sidecar_read,
     sidecar_write,
 )
-from nlo.source_model import SourceUnit
+from nlo.source_model import C_LIKE_PROFILE, LanguageProfile, SourceUnit
 
 from conftest import TOUR_CODE, TOUR_STATEMENTS
 
@@ -46,6 +46,21 @@ class TestWriteRead:
         sidecar_write(unit, Outline(), source_file)
         record, _ = sidecar_read(source_file)
         assert record.snapshot_unit().lines == unit.lines
+
+    def test_snapshot_keeps_the_c_like_profile(self, tmp_path):
+        path = tmp_path / "f.c"
+        unit = SourceUnit.from_text("int f() {\n  return 1;\n}", profile=C_LIKE_PROFILE)
+        sidecar_write(unit, Outline(), path)
+        record, _ = sidecar_read(path)
+        assert record.snapshot_unit() == unit
+
+    def test_snapshot_of_a_config_defined_profile_raises(self, tmp_path):
+        path = tmp_path / "f.lua"
+        unit = SourceUnit.from_text("local x = 1\nreturn x", profile=LanguageProfile("lua", "--"))
+        sidecar_write(unit, Outline(), path)
+        record, _ = sidecar_read(path)
+        with pytest.raises(ValueError, match="'lua'"):
+            record.snapshot_unit()
 
     def test_invalid_outline_refused(self, source_file):
         unit = SourceUnit.from_text(source_file.read_text())
