@@ -109,118 +109,45 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``nlo`` parser with every command's subparser, or only ``command``'s."""
     parser = _Parser(prog="nlo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nlo {__version__}")
     parser.add_argument("--config", help="path to a YAML config file")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("gen", help="generate an outline for a source file")
-    gen.add_argument("file")
-    gen.add_argument("--technique", choices=["interleaved", "infilling"])
-    gen.add_argument(
-        "--in-place",
-        action="store_true",
-        help="write star comments into the file instead of the sidecar",
-    )
-    gen.add_argument("--no-sidecar", action="store_true", help="print only")
-    _add_backend_flags(gen)
-
-    render = commands.add_parser("render", help="render the sidecar outline")
-    render.add_argument("file")
-    render.add_argument("--standalone", action="store_true", help="bullets, no code")
-    render.add_argument(
-        "--in-place", action="store_true", help="write star comments into the file"
-    )
-
-    extract_cmd = commands.add_parser(
-        "extract", help="read the outline held in a file's star comments"
-    )
-    extract_cmd.add_argument("file")
-    extract_cmd.add_argument(
-        "--in-place",
-        action="store_true",
-        help="strip the comments from the file and store them in the sidecar",
-    )
-
-    check = commands.add_parser("check", help="validate a sidecar against its source")
-    check.add_argument("file")
-
-    finish = commands.add_parser("finish", help="have the model finish a started edit")
-    finish.add_argument("file")
-    finish.add_argument("--apply", action="store_true", help="write the result back")
-    finish.add_argument(
-        "--old", help="bare snapshot file to treat as the old code (with sidecar)"
-    )
-    _add_backend_flags(finish)
-
-    split = commands.add_parser("split", help="virtually split a unified diff")
-    split.add_argument("diff", nargs="?", default="-", help="diff file, or - for stdin")
-    split.add_argument("--description", required=True)
-    split.add_argument("--json", dest="json_out", help="write the split JSON here")
-    split.add_argument("--html", dest="html_out", help="write the static HTML here")
-    split.add_argument("--workers", type=int, default=1)
-    _add_backend_flags(split)
-
-    triage_cmd = commands.add_parser(
-        "triage", help="score decompiled functions for suspicion"
-    )
-    triage_cmd.add_argument("path", help="a function file, or a directory of them")
-    triage_cmd.add_argument("--glob", default="*", help="pattern for directory mode")
-    _add_backend_flags(triage_cmd)
-
-    eval_cmd = commands.add_parser("eval", help="tabulate parse quality over a corpus")
-    eval_cmd.add_argument("--corpus", required=True, help="directory of source files")
-    eval_cmd.add_argument(
-        "--technique",
-        action="append",
-        choices=["interleaved", "infilling"],
-        help="repeatable; default is both",
-    )
-    eval_cmd.add_argument(
-        "--model-id",
-        action="append",
-        dest="models",
-        help="repeatable; each model evaluated against the same store",
-    )
-    eval_cmd.add_argument("--json", dest="json_out", help="write rows as JSON here")
-    eval_cmd.add_argument("--workers", type=int, default=1)
-    _add_backend_flags(eval_cmd)
-
-    fixtures = commands.add_parser("fixtures", help="inspect or extend a replay store")
-    fixtures_sub = fixtures.add_subparsers(dest="fixtures_command", required=True)
-    flist = fixtures_sub.add_parser("list", help="list recorded request hashes")
-    flist.add_argument("--fixtures", required=True)
-    fadd = fixtures_sub.add_parser("add", help="record one prompt/response pair")
-    fadd.add_argument("--fixtures", required=True)
-    fadd.add_argument("--backend-id", dest="backend_id", default="http")
-    fadd.add_argument("--model", required=True)
-    fadd.add_argument("--temperature", type=float, default=0.0)
-    fadd.add_argument("--system", default="", help="system text for the prompt")
-    fadd.add_argument("--prompt-file", required=True, help="user turn text file")
-    fadd.add_argument("--response-file", required=True)
-
+    # With one subparser declared, the metavar keeps the usage line the full
+    # tree prints.  The full tree leaves it unset: argparse names the argument
+    # by its metavar in "required" and "invalid choice" errors.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, declare, _run) in _COMMANDS.items():
+        if command in (None, name):
+            declare(commands.add_parser(name, help=help_text))
     return parser
 
 
+def _invoked_command(argv: list[str]) -> str | None:
+    """The command of an argv shaped ``[--config V | --config=V] NAME ...``
+    with ``V`` not starting with ``-``; None for any other shape (help,
+    version, abbreviations, ``--``, a missing or unknown command), which then
+    parses against the full tree."""
+    rest = argv
+    if rest and rest[0] == "--config":
+        rest = rest[2:] if len(rest) > 1 and not rest[1].startswith("-") else []
+    elif rest and rest[0].startswith("--config="):
+        rest = rest[1:] if not rest[0][len("--config="):].startswith("-") else []
+    return rest[0] if rest and rest[0] in _COMMANDS else None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_invoked_command(argv))
     args = parser.parse_args(argv)
     try:
         settings = load_settings(args.config)
         settings = _apply_overrides(settings, args)
-        handler = {
-            "gen": _cmd_gen,
-            "render": _cmd_render,
-            "extract": _cmd_extract,
-            "check": _cmd_check,
-            "finish": _cmd_finish,
-            "split": _cmd_split,
-            "triage": _cmd_triage,
-            "eval": _cmd_eval,
-            "fixtures": _cmd_fixtures,
-        }[args.command]
-        return handler(args, settings)
+        _help_text, _declare, run = _COMMANDS[args.command]
+        return run(args, settings)
     except ConfigError as exc:
         print(f"nlo: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -233,6 +160,18 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"nlo: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _gen_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--technique", choices=["interleaved", "infilling"])
+    sub.add_argument(
+        "--in-place",
+        action="store_true",
+        help="write star comments into the file instead of the sidecar",
+    )
+    sub.add_argument("--no-sidecar", action="store_true", help="print only")
+    _add_backend_flags(sub)
 
 
 def _cmd_gen(args, settings: Settings) -> int:
@@ -270,6 +209,14 @@ def _read_fresh_sidecar(path: str):
     return record
 
 
+def _render_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--standalone", action="store_true", help="bullets, no code")
+    sub.add_argument(
+        "--in-place", action="store_true", help="write star comments into the file"
+    )
+
+
 def _cmd_render(args, settings: Settings) -> int:
     unit = _load_unit(args.file, settings)
     record = _read_fresh_sidecar(args.file)
@@ -285,6 +232,15 @@ def _cmd_render(args, settings: Settings) -> int:
     return EXIT_OK
 
 
+def _extract_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("file")
+    sub.add_argument(
+        "--in-place",
+        action="store_true",
+        help="strip the comments from the file and store them in the sidecar",
+    )
+
+
 def _cmd_extract(args, settings: Settings) -> int:
     annotated = _load_unit(args.file, settings)
     unit, outline = extract(annotated)
@@ -293,6 +249,10 @@ def _cmd_extract(args, settings: Settings) -> int:
         write_text_atomic(args.file, unit.text() + "\n")
         sidecar_write(unit, outline, args.file)
     return EXIT_OK
+
+
+def _check_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("file")
 
 
 def _cmd_check(args, settings: Settings) -> int:
@@ -308,6 +268,15 @@ def _cmd_check(args, settings: Settings) -> int:
         return EXIT_PARSE
     print(f"ok: {len(record.statements)} statements, fresh")
     return EXIT_OK
+
+
+def _finish_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--apply", action="store_true", help="write the result back")
+    sub.add_argument(
+        "--old", help="bare snapshot file to treat as the old code (with sidecar)"
+    )
+    _add_backend_flags(sub)
 
 
 def _cmd_finish(args, settings: Settings) -> int:
@@ -360,6 +329,15 @@ def _cmd_finish(args, settings: Settings) -> int:
     return EXIT_OK
 
 
+def _split_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("diff", nargs="?", default="-", help="diff file, or - for stdin")
+    sub.add_argument("--description", required=True)
+    sub.add_argument("--json", dest="json_out", help="write the split JSON here")
+    sub.add_argument("--html", dest="html_out", help="write the static HTML here")
+    sub.add_argument("--workers", type=int, default=1)
+    _add_backend_flags(sub)
+
+
 def _cmd_split(args, settings: Settings) -> int:
     if args.diff == "-":
         text = sys.stdin.read()
@@ -388,6 +366,12 @@ def _cmd_split(args, settings: Settings) -> int:
                 file=sys.stderr,
             )
     return EXIT_OK
+
+
+def _triage_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("path", help="a function file, or a directory of them")
+    sub.add_argument("--glob", default="*", help="pattern for directory mode")
+    _add_backend_flags(sub)
 
 
 def _triage_record(path: Path, settings: Settings, backend, examples) -> dict:
@@ -431,6 +415,25 @@ def _cmd_triage(args, settings: Settings) -> int:
     return EXIT_OK
 
 
+def _eval_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--corpus", required=True, help="directory of source files")
+    sub.add_argument(
+        "--technique",
+        action="append",
+        choices=["interleaved", "infilling"],
+        help="repeatable; default is both",
+    )
+    sub.add_argument(
+        "--model-id",
+        action="append",
+        dest="models",
+        help="repeatable; each model evaluated against the same store",
+    )
+    sub.add_argument("--json", dest="json_out", help="write rows as JSON here")
+    sub.add_argument("--workers", type=int, default=1)
+    _add_backend_flags(sub)
+
+
 def _cmd_eval(args, settings: Settings) -> int:
     corpus_dir = Path(args.corpus)
     corpus = [
@@ -454,6 +457,20 @@ def _cmd_eval(args, settings: Settings) -> int:
     return EXIT_OK
 
 
+def _fixtures_options(sub: argparse.ArgumentParser) -> None:
+    fixtures_sub = sub.add_subparsers(dest="fixtures_command", required=True)
+    flist = fixtures_sub.add_parser("list", help="list recorded request hashes")
+    flist.add_argument("--fixtures", required=True)
+    fadd = fixtures_sub.add_parser("add", help="record one prompt/response pair")
+    fadd.add_argument("--fixtures", required=True)
+    fadd.add_argument("--backend-id", dest="backend_id", default="http")
+    fadd.add_argument("--model", required=True)
+    fadd.add_argument("--temperature", type=float, default=0.0)
+    fadd.add_argument("--system", default="", help="system text for the prompt")
+    fadd.add_argument("--prompt-file", required=True, help="user turn text file")
+    fadd.add_argument("--response-file", required=True)
+
+
 def _cmd_fixtures(args, settings: Settings) -> int:
     store = FixtureStore(args.fixtures)
     if args.fixtures_command == "list":
@@ -474,6 +491,29 @@ def _cmd_fixtures(args, settings: Settings) -> int:
     )
     print(key)
     return EXIT_OK
+
+
+# The command table, in help order: name -> (help text, the function that
+# declares the command's options on its subparser, the handler).
+_COMMANDS = {
+    "gen": ("generate an outline for a source file", _gen_options, _cmd_gen),
+    "render": ("render the sidecar outline", _render_options, _cmd_render),
+    "extract": (
+        "read the outline held in a file's star comments",
+        _extract_options,
+        _cmd_extract,
+    ),
+    "check": ("validate a sidecar against its source", _check_options, _cmd_check),
+    "finish": ("have the model finish a started edit", _finish_options, _cmd_finish),
+    "split": ("virtually split a unified diff", _split_options, _cmd_split),
+    "triage": (
+        "score decompiled functions for suspicion",
+        _triage_options,
+        _cmd_triage,
+    ),
+    "eval": ("tabulate parse quality over a corpus", _eval_options, _cmd_eval),
+    "fixtures": ("inspect or extend a replay store", _fixtures_options, _cmd_fixtures),
+}
 
 
 if __name__ == "__main__":

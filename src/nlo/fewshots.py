@@ -8,6 +8,7 @@ under package data) or by directory path.
 
 from __future__ import annotations
 
+import os
 import re
 from importlib import resources
 from pathlib import Path
@@ -55,27 +56,30 @@ def load_fewshot_set(
     name_or_path: str = DEFAULT_SET, profile: LanguageProfile | None = None
 ) -> tuple[FewShotExample, ...]:
     directory = fewshot_set_dir(name_or_path)
+    names = sorted(os.listdir(directory))
     examples = []
-    for outline_path in sorted(directory.glob("*.outline")):
-        source_path = _matching_source(outline_path)
+    for name in names:
+        if not name.endswith(".outline"):
+            continue
+        source_path = directory / _matching_source(name, names)
         unit_profile = profile or profile_for_path(source_path.name)
         unit = SourceUnit.from_text(read_text(source_path), profile=unit_profile)
-        gold = parse_gold_outline(read_text(outline_path))
+        gold = parse_gold_outline(read_text(directory / name))
         examples.append(FewShotExample(unit=unit, gold=gold))
     if not examples:
         raise FileNotFoundError(f"few-shot set {name_or_path!r} is empty")
     return tuple(examples)
 
 
-def _matching_source(outline_path: Path) -> Path:
+def _matching_source(outline_name: str, names: list[str]) -> str:
+    """The single ``<stem>.<ext>`` entry of ``names`` besides ``<stem>.outline``."""
+    prefix = outline_name[: -len("outline")]
     candidates = [
-        p
-        for p in outline_path.parent.glob(outline_path.stem + ".*")
-        if p.suffix != ".outline"
+        n for n in names if n.startswith(prefix) and not n.endswith(".outline")
     ]
     if len(candidates) != 1:
         raise FileNotFoundError(
-            f"expected exactly one source file for {outline_path.name}, "
+            f"expected exactly one source file for {outline_name}, "
             f"found {len(candidates)}"
         )
     return candidates[0]

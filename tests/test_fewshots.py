@@ -1,7 +1,8 @@
 import pytest
 
-from nlo.fewshots import fewshot_set_dir, parse_gold_outline
+from nlo.fewshots import fewshot_set_dir, load_fewshot_set, parse_gold_outline
 from nlo.outline import OutlineStatement
+from nlo.source_model import SourceUnit
 
 
 class TestParseGoldOutline:
@@ -30,3 +31,52 @@ class TestParseGoldOutline:
     def test_malformed_line_raises(self, text, lineno):
         with pytest.raises(ValueError, match=f"outline line {lineno} is malformed"):
             parse_gold_outline(text)
+
+
+def _copy_shipped_set(tmp_path):
+    directory = tmp_path / "set"
+    directory.mkdir()
+    for path in fewshot_set_dir("default").iterdir():
+        (directory / path.name).write_bytes(path.read_bytes())
+    return directory
+
+
+class TestLoadFewshotSet:
+    def test_shipped_set_loads_every_pair_in_name_order(self):
+        directory = fewshot_set_dir("default")
+        stems = sorted(p.name[: -len(".outline")] for p in directory.glob("*.outline"))
+        examples = load_fewshot_set("default")
+        assert len(examples) == len(stems) == 8
+        for stem, example in zip(stems, examples):
+            code = (directory / f"{stem}.py").read_text(encoding="utf-8")
+            gold = (directory / f"{stem}.outline").read_text(encoding="utf-8")
+            assert example.unit == SourceUnit.from_text(code)
+            assert example.gold == parse_gold_outline(gold)
+
+    def test_stem_with_glob_metacharacters_loads(self, tmp_path):
+        directory = _copy_shipped_set(tmp_path)
+        for suffix in (".outline", ".py"):
+            old = directory / f"03_retry_request{suffix}"
+            old.rename(directory / f"x[1]{suffix}")
+        examples = load_fewshot_set(str(directory))
+        assert len(examples) == 8
+        code = (directory / "x[1].py").read_text(encoding="utf-8")
+        assert examples[-1].unit == SourceUnit.from_text(code)
+
+    def test_two_sources_for_one_stem_raise(self, tmp_path):
+        directory = _copy_shipped_set(tmp_path)
+        (directory / "02_merge_intervals.c").write_text("int f(void);\n")
+        message = (
+            "expected exactly one source file for 02_merge_intervals.outline, found 2"
+        )
+        with pytest.raises(FileNotFoundError, match=message):
+            load_fewshot_set(str(directory))
+
+    def test_missing_source_raises(self, tmp_path):
+        directory = _copy_shipped_set(tmp_path)
+        (directory / "05_test_normalize.py").unlink()
+        message = (
+            "expected exactly one source file for 05_test_normalize.outline, found 0"
+        )
+        with pytest.raises(FileNotFoundError, match=message):
+            load_fewshot_set(str(directory))
