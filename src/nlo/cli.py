@@ -85,7 +85,7 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
 
 def _apply_overrides(settings: Settings, args) -> Settings:
     for name in ("backend", "backend_id", "model", "fixtures", "technique"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if isinstance(value, str):
             setattr(settings, name, value)
     if getattr(args, "record", False):

@@ -60,6 +60,25 @@ class Settings:
         return registry
 
 
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+# Every key the file may set, with its check and the expected wording.
+_KEYS = {
+    "backend": _STRING,
+    "backend_id": _STRING,
+    "model": _STRING,
+    "fixtures": _STRING,
+    "record": (lambda v: type(v) is bool, "true or false"),
+    "technique": (lambda v: v in TECHNIQUES, " or ".join(TECHNIQUES)),
+    "fewshot_set": _STRING,
+    "triage_set": _STRING,
+    "max_output": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "temperature": (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
+    "responses_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "http": (lambda v: isinstance(v, dict), "a mapping"),
+}
+
+
 def load_settings(path: str | Path | None = None) -> Settings:
     """Load settings from an explicit path, or the default file if present."""
     settings = Settings()
@@ -71,31 +90,12 @@ def load_settings(path: str | Path | None = None) -> Settings:
     raw = yaml.safe_load(read_text(path)) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    for key in (
-        "backend",
-        "backend_id",
-        "model",
-        "fixtures",
-        "record",
-        "technique",
-        "fewshot_set",
-        "triage_set",
-        "max_output",
-        "temperature",
-        "responses_file",
-        "http",
-    ):
+    for key, (valid, expected) in _KEYS.items():
         if key in raw:
-            setattr(settings, key, raw[key])
-    for key, valid, expected in (
-        ("temperature", lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
-        ("max_output", lambda v: v is None or type(v) is int, "an integer or null"),
-        ("record", lambda v: type(v) is bool, "true or false"),
-        ("technique", lambda v: v in TECHNIQUES, " or ".join(TECHNIQUES)),
-    ):
-        value = getattr(settings, key)
-        if not valid(value):
-            raise ConfigError(f"{key} must be {expected}, not {value!r}")
+            value = raw[key]
+            if not valid(value):
+                raise ConfigError(f"{key} must be {expected}, not {value!r}")
+            setattr(settings, key, value)
     # request_key hashes repr(temperature): a YAML `0` must key like the default 0.0
     settings.temperature = float(settings.temperature)
     try:

@@ -16,12 +16,7 @@ from pathlib import Path
 from .fileio import read_text
 from .generation import FewShotExample, _scan_records
 from .outline import Outline, OutlineStatement
-from .source_model import (
-    C_LIKE_PROFILE,
-    LanguageProfile,
-    SourceUnit,
-    profile_for_path,
-)
+from .source_model import C_LIKE_PROFILE, SourceUnit, profile_for_path
 
 DEFAULT_SET = "default"
 
@@ -52,9 +47,7 @@ def fewshot_set_dir(name_or_path: str) -> Path:
     raise FileNotFoundError(f"no few-shot set named {name_or_path!r}")
 
 
-def load_fewshot_set(
-    name_or_path: str = DEFAULT_SET, profile: LanguageProfile | None = None
-) -> tuple[FewShotExample, ...]:
+def load_fewshot_set(name_or_path: str = DEFAULT_SET) -> tuple[FewShotExample, ...]:
     directory = fewshot_set_dir(name_or_path)
     names = sorted(os.listdir(directory))
     examples = []
@@ -62,8 +55,8 @@ def load_fewshot_set(
         if not name.endswith(".outline"):
             continue
         source_path = directory / _matching_source(name, names)
-        unit_profile = profile or profile_for_path(source_path.name)
-        unit = SourceUnit.from_text(read_text(source_path), profile=unit_profile)
+        profile = profile_for_path(source_path.name)
+        unit = SourceUnit.from_text(read_text(source_path), profile=profile)
         gold = parse_gold_outline(read_text(directory / name))
         examples.append(FewShotExample(unit=unit, gold=gold))
     if not examples:

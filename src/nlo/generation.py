@@ -458,18 +458,29 @@ class CommentSlot:
 
 @dataclass(frozen=True)
 class Constraint:
-    """A repeat-the-code acceptor: literal lines with comment slots between.
+    """A repeat-the-code acceptor: the unit's lines plus one slot per line.
 
-    Literal slots concatenated in order equal the unit's lines; an optional
-    comment slot admits zero or more comment lines, a required slot at
-    least one.
+    ``above[i]`` is the comment slot above ``lines[i]``: ``None`` for no
+    slot, ``False`` for an optional slot (zero or more comment lines),
+    ``True`` for a required one (at least one).
     """
 
     profile: LanguageProfile
-    slots: tuple
+    lines: tuple[str, ...]
+    above: tuple[bool | None, ...]
+
+    @property
+    def slots(self) -> tuple:
+        """The same language as a ``CommentSlot``/``LiteralLine`` sequence."""
+        out: list = []
+        for line, slot in zip(self.lines, self.above):
+            if slot is not None:
+                out.append(CommentSlot(required=slot))
+            out.append(LiteralLine(line))
+        return tuple(out)
 
     def literal_lines(self) -> tuple[str, ...]:
-        return tuple(s.text for s in self.slots if isinstance(s, LiteralLine))
+        return self.lines
 
 
 def comment_slot_positions(unit: SourceUnit) -> dict[int, bool]:
@@ -504,12 +515,8 @@ def build_constraint(unit: SourceUnit) -> Constraint:
     if len(unit) == 0:
         raise ValueError("cannot build a constraint for an empty unit")
     positions = comment_slot_positions(unit)
-    slots: list = []
-    for i, line in enumerate(unit.lines, start=1):
-        if i in positions:
-            slots.append(CommentSlot(required=positions[i]))
-        slots.append(LiteralLine(line))
-    return Constraint(profile=unit.profile, slots=tuple(slots))
+    above = tuple(positions.get(i) for i in range(1, len(unit) + 1))
+    return Constraint(profile=unit.profile, lines=unit.lines, above=above)
 
 
 def constraint_accepts(
@@ -517,51 +524,38 @@ def constraint_accepts(
 ) -> tuple[bool, int | None]:
     """Match candidate lines against the constraint, left to right.
 
+    A state is ``(k, empty)``: line ``k`` is the next literal, and ``empty``
+    says its required slot has no comment yet.  A comment line keeps a state
+    whose literal has a slot above it; a line equal to the next literal moves
+    the state past it unless the slot is empty.  A line can do both (the
+    unit's own comments), so the set grows with the longest comment run.
+
     Returns acceptance plus, on rejection, the 1-based index of the first
     candidate line that cannot be matched (``len+1`` when the candidate
     ended before the constraint was satisfied).
     """
-    elements: list[tuple[str, str | None]] = []
-    for slot in constraint.slots:
-        if isinstance(slot, CommentSlot):
-            if slot.required:
-                elements.append(("req", None))
-            elements.append(("opt", None))
-        else:
-            elements.append(("lit", slot.text))
-    end = len(elements)
+    literals, above = constraint.lines, constraint.above
+    end = len(literals)
 
-    def closure(states: set[int]) -> set[int]:
-        out: set[int] = set()
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            if s in out:
-                continue
-            out.add(s)
-            if s < end and elements[s][0] == "opt":
-                stack.append(s + 1)
-        return out
+    def at(k: int) -> tuple[int, bool]:
+        return k, k < end and above[k] is True
 
-    states = closure({0})
+    states = {at(0)}
     lines = candidate.splitlines()
     for index, line in enumerate(lines, start=1):
         is_comment = classify_line(constraint.profile, line) in COMMENT_CLASSES
-        advanced: set[int] = set()
-        for s in states:
-            if s >= end:
+        advanced: set[tuple[int, bool]] = set()
+        for k, empty in states:
+            if k == end:
                 continue
-            kind, payload = elements[s]
-            if kind == "lit" and line == payload:
-                advanced.add(s + 1)
-            elif kind == "opt" and is_comment:
-                advanced.add(s)
-            elif kind == "req" and is_comment:
-                advanced.add(s + 1)
-        states = closure(advanced)
+            if is_comment and above[k] is not None:
+                advanced.add((k, False))
+            if not empty and line == literals[k]:
+                advanced.add(at(k + 1))
+        states = advanced
         if not states:
             return False, index
-    if end in states:
+    if at(end) in states:
         return True, None
     return False, len(lines) + 1
 

@@ -165,7 +165,6 @@ def triage(
     unit: SourceUnit,
     backend: Backend,
     examples: tuple[tuple[SourceUnit, str], ...] | None = None,
-    summary_line_width: int | None = None,
     temperature: float = 0.0,
     max_output: int | None = None,
 ) -> TriageResult:
@@ -173,5 +172,5 @@ def triage(
     if examples is None:
         examples = load_triage_examples()
     response = _ask(build_triage_prompt(unit, examples), backend, temperature, max_output)
-    prediction = parse_triage(response, summary_line_width=summary_line_width)
+    prediction = parse_triage(response)
     return TriageResult(prediction=prediction, consistent=prediction.consistent())

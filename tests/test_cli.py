@@ -249,7 +249,12 @@ def http_config(tmp_path, url, mode="flat"):
 class TestConfigAndBackendFailures:
     @pytest.mark.parametrize(
         "text",
-        ["temperature: hot\n", "profiles:\n  - name: lsp\n", "technique: bogus\n"],
+        [
+            "temperature: hot\n",
+            "profiles:\n  - name: lsp\n",
+            "technique: bogus\n",
+            "model: 5\n",
+        ],
     )
     def test_config_mistake_exits_1(self, capsys, tmp_path, sample_file, text):
         config = tmp_path / "nlo.yaml"

@@ -62,6 +62,11 @@ class TestLoadSettings:
             "max_output: true\n",
             "record: 'yes'\n",
             "record: 1\n",
+            "model: 5\n",
+            "fixtures: 5\n",
+            "fewshot_set: 7\n",
+            "backend_id: [1]\n",
+            "backend: http\nhttp: 5\n",
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, text):
