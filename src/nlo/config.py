@@ -61,6 +61,7 @@ class Settings:
 
 
 _STRING = (lambda v: isinstance(v, str), "a string")
+_MAPPING = (lambda v: isinstance(v, dict), "a mapping")
 
 # Every key the file may set, with its check and the expected wording.
 _KEYS = {
@@ -75,8 +76,28 @@ _KEYS = {
     "max_output": (lambda v: v is None or type(v) is int, "an integer or null"),
     "temperature": (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
     "responses_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "http": (lambda v: isinstance(v, dict), "a mapping"),
+    "http": _MAPPING,
 }
+
+# The fields of the ``http`` mapping, checked the same way.
+_HTTP_KEYS = {
+    "url": _STRING,
+    "request_template": _MAPPING,
+    "response_path": (
+        lambda v: isinstance(v, list) and all(type(step) in (str, int) for step in v),
+        "a list of strings or integers",
+    ),
+    "headers": _MAPPING,
+    "mode": (lambda v: v in ("flat", "chat"), "flat or chat"),
+}
+
+
+def _check(raw: dict, table: dict, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` for the first key of ``table`` whose value
+    in ``raw`` fails its check."""
+    for key, (valid, expected) in table.items():
+        if key in raw and not valid(raw[key]):
+            raise ConfigError(f"{prefix}{key} must be {expected}, not {raw[key]!r}")
 
 
 def load_settings(path: str | Path | None = None) -> Settings:
@@ -90,12 +111,10 @@ def load_settings(path: str | Path | None = None) -> Settings:
     raw = yaml.safe_load(read_text(path)) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    for key, (valid, expected) in _KEYS.items():
-        if key in raw:
-            value = raw[key]
-            if not valid(value):
-                raise ConfigError(f"{key} must be {expected}, not {value!r}")
-            setattr(settings, key, value)
+    _check(raw, _KEYS)
+    for key in _KEYS.keys() & raw.keys():
+        setattr(settings, key, raw[key])
+    _check(settings.http, _HTTP_KEYS, "http.")
     # request_key hashes repr(temperature): a YAML `0` must key like the default 0.0
     settings.temperature = float(settings.temperature)
     try:

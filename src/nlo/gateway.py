@@ -5,6 +5,12 @@ text out): a configurable HTTP adapter for live models, a scripted backend
 serving a canned queue, and a record/replay backend keyed on a content hash
 of the request, which makes every pipeline testable offline and
 deterministic.
+
+The HTTP adapter posts over a plain socket (:func:`_socket_post`); only
+when the environment sets a proxy for the URL's scheme does a request go
+through ``urllib`` (:func:`_urllib_post`).  A command that reaches a model
+directly therefore loads neither ``http.client`` nor, over ``http://``,
+``ssl``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,12 +292,19 @@ class HttpBackendConfig:
 
 
 class HttpBackend:
+    """Posts each request to a configured JSON-over-HTTP API.
+
+    ``post`` stands in for the transport, :func:`_socket_post` by default;
+    it takes ``(url, json=, headers=, timeout=)`` and returns an object with
+    ``status_code`` and ``json()``.
+    """
+
     backend_id = "http"
 
     def __init__(self, config: HttpBackendConfig, post: Callable | None = None):
         self.config = config
         self.model_id = config.model_id
-        self._post = _urllib_post if post is None else post
+        self._post = _socket_post if post is None else post
 
     def build_payload(self, request: GenerationRequest):
         values = {
@@ -335,13 +350,166 @@ class _HttpReply:
         return json.loads(self.body)
 
 
-def _urllib_post(url, json=None, headers=None, timeout=None):
-    """POST a JSON document with the standard library: the default transport.
+def _socket_post(url, json=None, headers=None, timeout=None):
+    """POST a JSON document as one HTTP/1.1 request: the default transport.
 
-    Imports happen here so that commands that never call a live model never
+    The request carries the bytes ``urllib`` would send (request line,
+    headers and body, ``Connection: close``) in one ``sendall`` over a fresh
+    connection; ``https`` URLs are wrapped in TLS verified against the
+    system CA store (``SSL_CERT_FILE`` overrides it).  The reply body may be
+    framed by Content-Length, by chunks or by the connection closing.  An
+    HTTP error status is returned, not raised; any other status outside 2xx,
+    a redirect included, is raised, since nothing is followed.
+
+    When the environment sets a proxy for the URL's scheme
+    (``<scheme>_proxy``, either case) the request goes through
+    :func:`_urllib_post`, which speaks to proxies and applies ``NO_PROXY``.
+    ``socket`` and ``ssl`` are imported here, so commands that never call a
+    model load neither.
+    """
+    scheme = url.partition(":")[0].lower()
+    if any(value for name, value in os.environ.items() if name.lower() == f"{scheme}_proxy"):
+        return _urllib_post(url, json=json, headers=headers, timeout=timeout)
+    import socket
+
+    host, port, request = _request_bytes(url, json, headers)
+    sock = socket.create_connection((host, port), timeout)
+    try:
+        if scheme == "https":
+            import ssl
+
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])  # as http.client offers
+            sock = context.wrap_socket(sock, server_hostname=host)
+        sock.sendall(request)
+        with sock.makefile("rb") as stream:
+            return _read_reply(stream)
+    finally:
+        sock.close()
+
+
+_USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+
+
+def _request_bytes(url: str, document, headers) -> tuple[str, int, bytes]:
+    """The host, port and bytes of the POST that ``urllib`` would send for
+    this URL, JSON ``document`` and header mapping.
+
+    Header names are title-cased and later names win, as in ``urllib``.  A
+    control character or space in the host or path, and a header that could
+    split the request, are refused as ``http.client`` refuses them.
+    """
+    match = re.fullmatch(r"([^/:]+)://([^/?#]*)(.*)", url.rpartition("#")[0] or url, re.S)
+    if not match or match[1].lower() not in ("http", "https") or not match[2]:
+        raise ValueError(f"unsupported URL {url!r}")
+    scheme, netloc, path = match[1].lower(), match[2], match[3] or "/"
+    host, colon, port = netloc.rpartition(":")
+    if not colon or "]" in port:  # no port, or the colons of an IPv6 address
+        host, port = netloc, ""
+    if port and not port.isdigit():
+        raise ValueError(f"nonnumeric port {port!r}")
+    port = int(port) if port else 443 if scheme == "https" else 80
+    host = host[1:-1] if host[:1] == "[" and host[-1:] == "]" else host
+    if re.search(r"[\x00-\x20\x7f]", host + path):
+        raise ValueError(f"URL {url!r} holds a space or control character")
+    body = json.dumps(document).encode("utf-8")
+    fields = {
+        "Accept-Encoding": "identity",
+        "Content-Length": str(len(body)),
+        "Host": netloc,
+        "User-Agent": _USER_AGENT,
+        "Content-Type": "application/json",
+    }
+    fields.update((name.title(), value) for name, value in (headers or {}).items())
+    fields["Connection"] = "close"
+    lines = [f"POST {path} HTTP/1.1\r\n".encode("ascii")]
+    for name, value in fields.items():
+        name_bytes, value_bytes = name.encode("ascii"), str(value).encode("latin-1")
+        if not re.fullmatch(rb"[^:\s][^:\r\n]*", name_bytes) or re.search(
+            rb"\n(?![ \t])|\r(?![ \t\n])", value_bytes
+        ):
+            raise ValueError(f"invalid header {name!r}")  # the value may be a secret
+        lines.append(name_bytes + b": " + value_bytes + b"\r\n")
+    return host, port, b"".join(lines) + b"\r\n" + body
+
+
+_MAX_LINE = 65536  # http.client's limit on one status, header or chunk-size line
+
+
+def _read_line(stream) -> bytes:
+    line = stream.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError("reply line too long")
+    return line
+
+
+def _read_fields(stream) -> dict[bytes, bytes]:
+    """Header (or trailer) fields up to the blank line, lower-cased names;
+    the first of repeated names wins."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(100):
+        line = _read_line(stream)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.strip().lower(), value.strip())
+    raise ValueError("more than 100 reply header lines")
+
+
+def _read_exact(stream, size: int) -> bytes:
+    data = stream.read(size)
+    if len(data) < size:
+        raise ValueError(f"reply body cut short: {len(data)} of {size} bytes")
+    return data
+
+
+def _read_reply(stream) -> _HttpReply:
+    """Parse one HTTP/1.x reply from a binary file object."""
+    status = 100
+    while status == 100:  # an interim 100 Continue precedes the real reply
+        line = _read_line(stream)
+        if not line:
+            raise ConnectionError("connection closed without a reply")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not parts[1].isdigit():
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        status = int(parts[1])
+        fields = _read_fields(stream)
+    if status >= 400:
+        return _HttpReply(status, b"")
+    if not 200 <= status < 300:
+        raise ValueError(f"HTTP {status} reply not followed")
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while size := _chunk_size(_read_line(stream)):
+            chunks.append(_read_exact(stream, size))
+            _read_line(stream)  # the CRLF that ends the chunk
+        _read_fields(stream)  # trailers
+        return _HttpReply(status, b"".join(chunks))
+    length = fields.get(b"content-length")
+    if length is None:  # delimited by the server closing the connection
+        return _HttpReply(status, stream.read())
+    if not length.isdigit():
+        raise ValueError(f"bad Content-Length {length[:80]!r}")
+    return _HttpReply(status, _read_exact(stream, int(length)))
+
+
+def _chunk_size(line: bytes) -> int:
+    digits = line.partition(b";")[0].strip()  # drop chunk extensions
+    if not re.fullmatch(rb"[0-9A-Fa-f]+", digits):
+        raise ValueError(f"bad chunk size line {line[:80]!r}")
+    return int(digits, 16)
+
+
+def _urllib_post(url, json=None, headers=None, timeout=None):
+    """POST a JSON document through ``urllib.request``: the transport when
+    the environment sets a proxy for the URL's scheme.
+
+    Imports happen here so that commands that never go through a proxy never
     load ``http.client`` or ``ssl``.  Proxies come from the environment
-    (``HTTP(S)_PROXY``, ``NO_PROXY``) and TLS is verified against the system
-    CA store.  An HTTP error status is returned, not raised.
+    (``HTTP(S)_PROXY``, ``NO_PROXY``), redirects are followed as ``urllib``
+    follows them, and TLS is verified against the system CA store.  An HTTP
+    error status is returned, not raised.
     """
     import json as codec  # the ``json`` keyword of the post contract shadows the module
     import urllib.error

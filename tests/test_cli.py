@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -182,11 +183,16 @@ class TestCustomProfile:
 
 class LocalModel:
     """A model server on 127.0.0.1 that answers every POST with one set reply
-    and keeps the headers and JSON body of each request it receives."""
+    and keeps the headers and JSON body of each request it receives, and its
+    request line and raw body in ``requests``.
 
-    def __init__(self):
-        self.status, self.body, self.delay = 200, b"{}", 0.0
-        self.received = []
+    Setting ``raw`` sends those bytes verbatim as the whole reply.  With
+    ``tls`` (a certificate and key file) the server speaks HTTPS.
+    """
+
+    def __init__(self, tls=None):
+        self.status, self.body, self.delay, self.raw = 200, b"{}", 0.0, None
+        self.received, self.requests = [], []
         model = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -194,16 +200,27 @@ class LocalModel:
                 pass
 
             def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                model.received.append((self.headers, json.loads(self.rfile.read(length))))
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                model.received.append((self.headers, json.loads(body)))
+                model.requests.append((self.requestline, body))
                 time.sleep(model.delay)
+                if model.raw is not None:
+                    self.wfile.write(model.raw)
+                    return
                 self.send_response(model.status)
                 self.send_header("Content-Length", str(len(model.body)))
                 self.end_headers()
                 self.wfile.write(model.body)
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/complete"
+        if tls:
+            import ssl
+
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*tls)
+            self.server.socket = context.wrap_socket(self.server.socket, server_side=True)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}/complete"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -254,6 +271,7 @@ class TestConfigAndBackendFailures:
             "profiles:\n  - name: lsp\n",
             "technique: bogus\n",
             "model: 5\n",
+            "http:\n  headers: 5\n",
         ],
     )
     def test_config_mistake_exits_1(self, capsys, tmp_path, sample_file, text):
@@ -374,6 +392,250 @@ def test_import_loads_no_http_stack():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def cli_env(**extra):
+    """The environment of an ``nlo`` child process: this checkout's
+    ``PYTHONPATH``, no proxy variables, and ``extra``."""
+    path = [str(Path(nlo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    return {**env, "PYTHONPATH": os.pathsep.join(p for p in path if p), **extra}
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+class ForwardingProxy:
+    """An HTTP proxy on 127.0.0.1 that forwards each absolute-form POST to
+    its target and keeps the request lines it saw."""
+
+    def __init__(self):
+        self.seen = []
+        proxy = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def do_POST(self):
+                import http.client
+                from urllib.parse import urlsplit
+
+                proxy.seen.append(self.requestline)
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                target = urlsplit(self.path)
+                upstream = http.client.HTTPConnection(target.netloc, timeout=30)
+                try:
+                    upstream.request("POST", target.path, body, dict(self.headers))
+                    reply = upstream.getresponse()
+                    data = reply.read()
+                finally:
+                    upstream.close()
+                self.send_response(reply.status)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+
+
+GEN_REPLY = json.dumps({"text": "2| Add the two numbers."}).encode("utf-8")
+
+
+class TestTransport:
+    """The default transport posts over one socket; urllib only behind a proxy."""
+
+    def gen(self, capsys, tmp_path, sample_file, url):
+        config = http_config(tmp_path, url)
+        return run(capsys, ["--config", str(config), "gen", "--no-sidecar", str(sample_file)])
+
+    def test_socket_sends_what_urllib_sends(self, local_model, no_proxy):
+        from nlo.gateway import _socket_post, _urllib_post
+
+        local_model.body = GEN_REPLY
+        url = local_model.url + "?stream=false#frag"
+        payload = {"prompt": "ü\r\n", "n": [1, 2.5, None]}
+        headers = {"Authorization": "Bearer k", "x-api-VERSION": "2", "Content-Type": "text/x"}
+        replies = [post(url, json=payload, headers=headers, timeout=30)
+                   for post in (_socket_post, _urllib_post)]
+        assert replies[0] == replies[1] and replies[0].json() == json.loads(GEN_REPLY)
+        (socket_line, socket_body), (urllib_line, urllib_body) = local_model.requests
+        assert socket_line == urllib_line == "POST /complete?stream=false HTTP/1.1"
+        assert socket_body == urllib_body == json.dumps(payload).encode("utf-8")
+        socket_headers, urllib_headers = (
+            sorted((name.lower(), value) for name, value in headers.items())
+            for headers, _ in local_model.received
+        )
+        assert socket_headers == urllib_headers
+        assert dict(socket_headers) == {
+            "accept-encoding": "identity",
+            "authorization": "Bearer k",
+            "connection": "close",
+            "content-length": str(len(socket_body)),
+            "content-type": "text/x",
+            "host": local_model.url.split("/")[2],
+            "user-agent": "Python-urllib/%d.%d" % sys.version_info[:2],
+            "x-api-version": "2",
+        }
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(GEN_REPLY), GEN_REPLY),
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
+            b"5;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+            % (GEN_REPLY[:5], len(GEN_REPLY) - 5, GEN_REPLY[5:]),
+            b"HTTP/1.0 200 OK\r\n\r\n%s" % GEN_REPLY,
+            b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n\r\n%s" % GEN_REPLY,
+        ],
+        ids=["content-length", "chunked", "close-delimited", "after-100-continue"],
+    )
+    def test_reply_framings_give_the_same_text(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy, raw
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.raw = raw
+        code, out, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        assert (code, out, err) == (0, "2| Add the two numbers.\n", "")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\n%s" % GEN_REPLY, "cut short"),
+            (b"HTTQ/1.1 200 OK\r\n\r\n%s" % GEN_REPLY, "malformed status line"),
+            (b"HTTP/1.1 OK\r\n\r\n%s" % GEN_REPLY, "malformed status line"),
+            (b"", "without a reply"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\n", "chunk size"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n", "chunk size"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "Content-Length"),
+            (
+                b"HTTP/1.1 302 Found\r\nLocation: /moved\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(GEN_REPLY), GEN_REPLY),
+                "HTTP 302",
+            ),
+        ],
+        ids=[
+            "short-body",
+            "bad-protocol",
+            "no-status-code",
+            "empty-reply",
+            "prefixed-chunk-size",
+            "negative-chunk-size",
+            "negative-length",
+            "redirect",
+        ],
+    )
+    def test_broken_reply_exits_3(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy, raw, message
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.raw = raw
+        code, out, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        assert (code, out) == (3, "")
+        assert err.startswith("nlo: backend error: request failed:") and message in err
+        assert len(local_model.received) == 1  # a redirect is not followed
+
+    def test_error_status_with_a_chunked_body_exits_3(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.raw = b"HTTP/1.1 404 Not Found\r\nTransfer-Encoding: chunked\r\n\r\nzz"
+        code, _, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        assert code == 3
+        assert "backend returned HTTP 404" in err
+
+    @pytest.mark.parametrize("bad", ["header", "path"])
+    def test_request_injection_is_refused(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy, bad
+    ):
+        url = local_model.url
+        if bad == "header":
+            monkeypatch.setenv("NLO_TEST_KEY", "sekrit\r\nX-Injected: 1")
+        else:
+            monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+            url = url.replace("/complete", "/com plete")
+        code, out, err = self.gen(capsys, tmp_path, sample_file, url)
+        assert (code, out) == (3, "")
+        assert "request failed" in err
+        assert local_model.received == []
+
+    def test_proxy_variables_route_through_urllib(self, tmp_path, sample_file, local_model):
+        local_model.body = GEN_REPLY
+        config = http_config(tmp_path, local_model.url)
+        argv = [sys.executable, "-m", "nlo.cli", "--config", str(config), "gen"]
+        argv += ["--no-sidecar", str(sample_file)]
+        proxy = ForwardingProxy()
+        try:
+            proxied = cli_env(NLO_TEST_KEY="sekrit", HTTP_PROXY=proxy.url)
+            bypassed = {**proxied, "NO_PROXY": "127.0.0.1"}
+            for env in (proxied, bypassed):
+                result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+                assert (result.returncode, result.stdout) == (0, "2| Add the two numbers.\n")
+        finally:
+            proxy.close()
+        assert proxy.seen == [f"POST {local_model.url} HTTP/1.1"]
+        assert len(local_model.received) == 2
+        assert local_model.received[0][0]["Authorization"] == "Bearer sekrit"
+
+    def test_tls_verifies_against_the_ca_store(
+        self, capsys, tmp_path, sample_file, monkeypatch, no_proxy
+    ):
+        openssl = shutil.which("openssl")
+        if openssl is None:
+            pytest.skip("needs the openssl binary to make a certificate")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            [openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:P-256",
+             "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1",
+             "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+            check=True, capture_output=True, timeout=60,
+        )
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        model = LocalModel(tls=(cert, key))
+        try:
+            model.body = GEN_REPLY
+            code, _, err = self.gen(capsys, tmp_path, sample_file, model.url)
+            assert code == 3 and "request failed" in err
+            monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+            code, out, _ = self.gen(capsys, tmp_path, sample_file, model.url)
+            assert (code, out) == (0, "2| Add the two numbers.\n")
+        finally:
+            model.close()
+        assert len(model.received) == 1
+
+    def test_recording_loads_no_urllib_or_ssl(self, tmp_path, sample_file, local_model):
+        # Over http:// with no proxy set, a live call needs socket and nothing heavier.
+        local_model.body = GEN_REPLY
+        config = http_config(tmp_path, local_model.url)
+        argv = ["--config", str(config), "gen", "--no-sidecar", "--backend", "replay"]
+        argv += ["--record", "--fixtures", str(tmp_path / "store"), str(sample_file)]
+        modules = ("socket", "urllib.request", "http.client", "email.parser", "ssl")
+        code = (
+            "import json, sys\nfrom nlo.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=cli_env(NLO_TEST_KEY="sekrit"), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, ["socket"]]
+        assert len(local_model.received) == 1
+        assert len(FixtureStore(tmp_path / "store").keys()) == 1
 
 
 class TestRenderExtractCheck:

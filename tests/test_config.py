@@ -67,6 +67,12 @@ class TestLoadSettings:
             "fewshot_set: 7\n",
             "backend_id: [1]\n",
             "backend: http\nhttp: 5\n",
+            "http:\n  url: 5\n",
+            "http:\n  request_template: [prompt]\n",
+            "http:\n  response_path: 5\n",
+            "http:\n  response_path: [choices, 1.5]\n",
+            "http:\n  headers: 5\n",
+            "http:\n  mode: chatty\n",
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, text):

@@ -14,6 +14,7 @@ from nlo.gateway import (
     HttpBackendConfig,
     ReplayBackend,
     ScriptedBackend,
+    _request_bytes,
     complete,
     request_key,
     user_prompt,
@@ -381,3 +382,44 @@ class TestHttpBackend:
         backend = HttpBackend(self.config(), post=lambda *a, **k: FakeResponse())
         with pytest.raises(BackendError):
             backend.complete(make_request())
+
+
+class TestRequestBytes:
+    @pytest.mark.parametrize(
+        "url, host, port, line, host_header",
+        [
+            ("http://h", "h", 80, b"POST / HTTP/1.1", b"h"),
+            ("HTTPS://api.example/v1?x=1#top", "api.example", 443, b"POST /v1?x=1 HTTP/1.1",
+             b"api.example"),
+            ("http://h:/p", "h", 80, b"POST /p HTTP/1.1", b"h:"),
+            ("http://[::1]:8080/p#a#b", "::1", 8080, b"POST /p#a HTTP/1.1", b"[::1]:8080"),
+            ("https://[::1]/p", "::1", 443, b"POST /p HTTP/1.1", b"[::1]"),
+        ],
+    )
+    def test_address_and_request_line(self, url, host, port, line, host_header):
+        got_host, got_port, request = _request_bytes(url, {}, {})
+        assert (got_host, got_port) == (host, port)
+        head = request.split(b"\r\n")
+        assert head[0] == line
+        assert b"Host: " + host_header in head
+
+    @pytest.mark.parametrize(
+        "url", ["ftp://h/p", "http:/h/p", "http:///p", "http://h:8o/p", "http://h/a\tb", "h/p"]
+    )
+    def test_unusable_url_is_refused(self, url):
+        with pytest.raises(ValueError):
+            _request_bytes(url, {}, {})
+
+    @pytest.mark.parametrize(
+        "headers",
+        [{"Authorization": "Bearer sekrit\r\nX-Injected: 1"}, {"Authorization": "sekrit\n"},
+         {"X-Bad:Name": "sekrit"}, {" X-Space": "sekrit"}, {"X-Ünicode": "sekrit"}],
+    )
+    def test_header_that_could_split_the_request_is_refused(self, headers):
+        with pytest.raises(ValueError) as caught:
+            _request_bytes("http://h/", {}, headers)
+        assert "sekrit" not in str(caught.value)  # a header value may be an API key
+
+    def test_folded_header_value_passes_as_http_client_lets_it(self):
+        _, _, request = _request_bytes("http://h/", {}, {"X-Long": "a\r\n b"})
+        assert b"X-Long: a\r\n b\r\n" in request
