@@ -16,6 +16,7 @@ from .errors import (
     DanglingCommentError,
     DiffParseError,
     FinishParseError,
+    InputError,
     NloError,
     PlacementError,
     ReplayMissError,

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, Settings, load_settings, make_backend
-from .errors import BackendError, NloError
+from .errors import BackendError, InputError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
 from .fewshots import load_fewshot_set, load_triage_examples
 from .fileio import read_text, write_text_atomic
@@ -81,6 +82,15 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
     suffix = Path(path).suffix.lstrip(".")
     profile = registry.get(suffix) or profile_for_path(path)
     return SourceUnit.from_text(text, profile=profile)
+
+
+@contextmanager
+def _naming(name):
+    """Prefix an :class:`InputError` raised inside with the input's name."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
 def _apply_overrides(settings: Settings, args) -> Settings:
@@ -154,12 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"nlo: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except (InputError, OSError) as exc:
+        print(f"nlo: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NloError as exc:
         print(f"nlo: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"nlo: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def _gen_options(sub: argparse.ArgumentParser) -> None:
@@ -180,13 +190,14 @@ def _cmd_gen(args, settings: Settings) -> int:
     unit, _existing = extract(annotated)
     config = _prompt_configs(settings, [technique])[technique]
     backend = make_backend(settings)
-    report = generate_outline(
-        unit,
-        config,
-        backend,
-        temperature=settings.temperature,
-        max_output=settings.max_output,
-    )
+    with _naming(args.file):
+        report = generate_outline(
+            unit,
+            config,
+            backend,
+            temperature=settings.temperature,
+            max_output=settings.max_output,
+        )
     print(infill_text(report.outline))
     for issue in report.issues:
         print(f"issue[{issue.severity}] {issue.kind}: {issue.detail}", file=sys.stderr)
@@ -340,19 +351,20 @@ def _split_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_split(args, settings: Settings) -> int:
     if args.diff == "-":
-        text = sys.stdin.read()
+        name, text = "<stdin>", sys.stdin.read()
     else:
-        text = read_text(args.diff)
+        name, text = args.diff, read_text(args.diff)
     files = parse_unified_diff(text)
-    cl = ChangeList(description=args.description, files=files)
-    backend = make_backend(settings)
-    outcome = split_changelist(
-        cl,
-        backend,
-        max_workers=args.workers,
-        temperature=settings.temperature,
-        max_output=settings.max_output,
-    )
+    with _naming(name):
+        cl = ChangeList(description=args.description, files=files)
+        backend = make_backend(settings)
+        outcome = split_changelist(
+            cl,
+            backend,
+            max_workers=args.workers,
+            temperature=settings.temperature,
+            max_output=settings.max_output,
+        )
     reports = render_split_report(outcome.split, cl)
     if args.json_out:
         write_text_atomic(args.json_out, reports["json"])
@@ -376,13 +388,14 @@ def _triage_options(sub: argparse.ArgumentParser) -> None:
 
 def _triage_record(path: Path, settings: Settings, backend, examples) -> dict:
     unit = _load_unit(str(path), settings)
-    result = triage(
-        unit,
-        backend,
-        examples=examples,
-        temperature=settings.temperature,
-        max_output=settings.max_output,
-    )
+    with _naming(path):
+        result = triage(
+            unit,
+            backend,
+            examples=examples,
+            temperature=settings.temperature,
+            max_output=settings.max_output,
+        )
     prediction = result.prediction
     return {
         "path": str(path),
@@ -443,14 +456,15 @@ def _cmd_eval(args, settings: Settings) -> int:
     configs = _prompt_configs(settings, techniques)
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
-    rows = evaluate_corpus(
-        corpus,
-        configs,
-        backends,
-        max_workers=args.workers,
-        temperature=settings.temperature,
-        max_output=settings.max_output,
-    )
+    with _naming(args.corpus):
+        rows = evaluate_corpus(
+            corpus,
+            configs,
+            backends,
+            max_workers=args.workers,
+            temperature=settings.temperature,
+            max_output=settings.max_output,
+        )
     print(render_eval_table(rows), end="")
     if args.json_out:
         write_text_atomic(args.json_out, eval_rows_to_json(rows))

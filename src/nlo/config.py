@@ -163,9 +163,13 @@ def make_backend(settings: Settings) -> Backend:
     if settings.backend == "scripted":
         if not settings.responses_file:
             raise ConfigError("scripted backend needs responses_file")
-        responses = json.loads(read_text(settings.responses_file))
-        if not isinstance(responses, list):
-            raise ConfigError("responses_file must hold a JSON list of strings")
+        path = settings.responses_file
+        try:
+            responses = json.loads(read_text(path))
+        except ValueError as exc:  # every JSON decode error is a ValueError
+            raise ConfigError(f"responses file {path}: not JSON: {exc}") from exc
+        if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+            raise ConfigError(f"responses file {path} must hold a JSON list of strings")
         return ScriptedBackend(responses, model_id=settings.model)
     if settings.backend == "replay":
         store = FixtureStore(settings.fixtures)

@@ -7,6 +7,11 @@ class NloError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(NloError, ValueError):
+    """An input a pipeline cannot use: an empty unit, one too long to number,
+    an empty corpus or change list, or duplicate file paths in a change list."""
+
+
 class PlacementError(NloError):
     """An outline does not fit its source unit."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import InputError
 from .fanout import fan_out
 from .gateway import Backend
 from .generation import PromptConfig, generate_outline
@@ -53,7 +54,7 @@ def evaluate_corpus(
     Rows come back sorted by backend id then technique.
     """
     if not corpus:
-        raise ValueError("corpus is empty")
+        raise InputError("corpus is empty")
     if not configs or not backends:
         raise ValueError("need at least one technique config and one backend")
     jobs = [

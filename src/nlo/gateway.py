@@ -506,8 +506,10 @@ def _urllib_post(url, json=None, headers=None, timeout=None):
     the environment sets a proxy for the URL's scheme.
 
     Imports happen here so that commands that never go through a proxy never
-    load ``http.client`` or ``ssl``.  Proxies come from the environment
-    (``HTTP(S)_PROXY``, ``NO_PROXY``), redirects are followed as ``urllib``
+    load ``http.client`` or ``ssl``.  The URL and headers first pass the
+    checks of the direct path, so a refused header is named without its
+    value.  Proxies come from the environment (``HTTP(S)_PROXY``,
+    ``NO_PROXY``) as it is at each call, redirects are followed as ``urllib``
     follows them, and TLS is verified against the system CA store.  An HTTP
     error status is returned, not raised.
     """
@@ -515,6 +517,7 @@ def _urllib_post(url, json=None, headers=None, timeout=None):
     import urllib.error
     import urllib.request
 
+    _request_bytes(url, json, headers)
     request = urllib.request.Request(
         url,
         data=codec.dumps(json).encode("utf-8"),
@@ -525,7 +528,7 @@ def _urllib_post(url, json=None, headers=None, timeout=None):
     # keep-alive connection to a server that writes headers and body apart
     # stalls each reply on Nagle + delayed ACK (~45 ms instead of ~2 ms).
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
+        with urllib.request.build_opener().open(request, timeout=timeout) as reply:
             return _HttpReply(reply.status, reply.read())
     except urllib.error.HTTPError as exc:
         exc.close()

@@ -16,6 +16,7 @@ import functools
 import re
 from dataclasses import dataclass
 
+from .errors import InputError
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .outline import Outline, OutlineStatement, validate
 from .outline import _comment_text, _interleave, _joined
@@ -207,7 +208,7 @@ def build_prompt(unit: SourceUnit, config: PromptConfig) -> ChatPrompt:
     """Assemble the few-shot prompt for one unit, ending with an empty
     assistant cue."""
     if len(unit) == 0:
-        raise ValueError("cannot build a prompt for an empty unit")
+        raise InputError("cannot build a prompt for an empty unit")
     return user_prompt(config.instructions, _user_turn(unit, config.technique), config._shots)
 
 

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .errors import InputError
+
 
 class LineClass(enum.Enum):
     """The unique class of a source line."""
@@ -81,16 +83,15 @@ def profile_for_path(path: str) -> LanguageProfile:
 
 @dataclass(frozen=True)
 class _LineModel:
-    """Where literals, continuations, signature, docstring and body lie in a
-    unit.  Per-line tuples hold the state where line ``i`` begins at index
-    ``i - 1``; brackets and backslashes in literals and comments do not count."""
+    """Where literals, continuations, docstring and body lie in a unit.
+    Per-line tuples hold the state where line ``i`` begins at index ``i - 1``;
+    brackets and backslashes in literals and comments do not count."""
 
     in_string: tuple[bool, ...]  # inside a string literal opened above
     depth: tuple[int, ...]  # signed count of brackets left open above
     backslash: tuple[bool, ...]  # the line above ends in a backslash
-    signature_end: int | None  # last line of the first def/class signature
-    docstring: tuple[int, int] | None
-    first_body_line: int | None  # first non-blank line below both
+    docstring: tuple[int, int] | None  # opening the first def/class body
+    first_body_line: int | None  # first non-blank line below signature and docstring
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,9 @@ def number_lines(unit: SourceUnit) -> str:
     inputs and the prefix field is fixed at 3 characters.
     """
     if len(unit) == 0:
-        raise ValueError("cannot number an empty unit")
+        raise InputError("cannot number an empty unit")
     if len(unit) > MAX_NUMBERED_LINES:
-        raise ValueError(
+        raise InputError(
             f"unit has {len(unit)} lines; numbering supports at most {MAX_NUMBERED_LINES}"
         )
     return "\n".join(f"{i:>3}|{line}" for i, line in enumerate(unit.lines, start=1))
@@ -242,5 +243,5 @@ def _scan(unit: SourceUnit) -> _LineModel:
             body = non_blank(docstring[1])
     backslash = (False, *(t.endswith("\\") for t in tails[:-1]))
     return _LineModel(
-        tuple(in_string), tuple(level[:-1]), backslash, signature_end, docstring, body
+        tuple(in_string), tuple(level[:-1]), backslash, docstring, body
     )

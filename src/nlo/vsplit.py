@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DiffParseError, TopicParseError
+from .errors import DiffParseError, InputError, TopicParseError
 from .fanout import fan_out
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .generation import ParseIssue, _order_records, _scan_records
@@ -26,7 +26,7 @@ OTHER_CHANGES = "Other changes"
 
 _HUNK_HEADER = re.compile(r"@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@.*")
 _SECTION_LINE = re.compile(r"\s*(\d+)\|(\d+)\| ?(.*)")
-_TOPIC_LINE = re.compile(r"\s*(\d+)[.)]\s+(.+?)\s*")
+_TOPIC_LINE = re.compile(r"\s*(\d+)[.)]\s+(\S.*?)\s*")
 _SKIPPABLE = (
     "diff ",
     "index ",
@@ -121,7 +121,7 @@ class ChangeList:
     def __post_init__(self) -> None:
         paths = [f.path for f in self.files]
         if len(paths) != len(set(paths)):
-            raise ValueError("change list contains duplicate file paths")
+            raise InputError("change list contains duplicate file paths")
 
     def total_changed_lines(self) -> int:
         return sum(len(f.changed_positions()) for f in self.files)
@@ -139,23 +139,16 @@ class Topic:
 
 @dataclass(frozen=True)
 class Section:
-    anchor: int  # line within the numbered diff; 0 marks a synthetic section
+    anchor: int  # line within the numbered diff; 0 marks the catch-all section
     description: str
     topic_index: int
-
-
-@dataclass(frozen=True)
-class AssignedSection:
-    anchor: int
-    description: str
-    topic_index: int
-    changed_lines: tuple[int, ...]
+    changed_lines: tuple[int, ...] = ()  # filled in by assemble_split
 
 
 @dataclass(frozen=True)
 class FileAssignment:
     path: str
-    sections: tuple[AssignedSection, ...]
+    sections: tuple[Section, ...]
 
 
 @dataclass(frozen=True)
@@ -235,6 +228,8 @@ def _parse_hunks(lines: list[str], i: int) -> tuple[list[Hunk], int]:
                 raise DiffParseError(f"unexpected hunk body line: {raw!r}", i + 1)
             if seen_old > old_len or seen_new > new_len:
                 raise DiffParseError("hunk body contradicts its header counts", i + 1)
+            i += 1
+        if i < n and lines[i].startswith("\\"):  # after the hunk's last line
             i += 1
         hunks.append(
             Hunk(
@@ -375,16 +370,26 @@ Topics:
 2. Other changes"""
 
 
+def _other_index(topics) -> int | None:
+    """The index of the reserved catch-all topic, or None when it is absent."""
+    return next(
+        (t.index for t in topics if t.title.strip().lower() == OTHER_CHANGES.lower()),
+        None,
+    )
+
+
 def ensure_other_changes(topics) -> tuple[Topic, ...]:
     """Append the reserved catch-all topic unless it is already present."""
     topics = tuple(topics)
-    if any(t.title.strip().lower() == OTHER_CHANGES.lower() for t in topics):
+    if _other_index(topics) is not None:
         return topics
     return topics + (Topic(index=len(topics) + 1, title=OTHER_CHANGES),)
 
 
 def parse_topics(response: str) -> tuple[Topic, ...]:
-    """Read ``N. title`` lines, preferring those after the last "Topics:" marker."""
+    """Read ``N. title`` lines, preferring those after the last "Topics:" marker.
+
+    A numbered line with a blank title is skipped."""
     lines = response.splitlines()
     marker_indexes = [
         i for i, ln in enumerate(lines) if ln.strip().lower() == "topics:"
@@ -394,9 +399,9 @@ def parse_topics(response: str) -> tuple[Topic, ...]:
     for line in candidates:
         match = _TOPIC_LINE.fullmatch(line)
         if match:
-            titles.append(match.group(2).strip())
+            titles.append(match.group(2))
     if not titles:
-        raise TopicParseError("response contains no numbered topic line")
+        raise TopicParseError("response contains no numbered topic line with a title")
     topics = tuple(Topic(index=i, title=t) for i, t in enumerate(titles, start=1))
     return ensure_other_changes(topics)
 
@@ -417,7 +422,7 @@ def generate_topics(
     max_output: int | None = None,
 ) -> tuple[Topic, ...]:
     if not cl.files:
-        raise ValueError("change list has no files")
+        raise InputError("change list has no files")
     response = _ask(build_topics_prompt(cl), backend, temperature, max_output)
     return parse_topics(response)
 
@@ -473,9 +478,7 @@ def parse_sections(
     issue.  An empty response yields zero sections; assembly repairs that.
     """
     topics = ensure_other_changes(topics)
-    other_index = next(
-        t.index for t in topics if t.title.lower() == OTHER_CHANGES.lower()
-    )
+    other_index = _other_index(topics)
     known = {t.index for t in topics}
     records, issues = _scan_records(response, _SECTION_LINE, len(filediff._kinds))
     remapped: list[tuple[int, int, str]] = []
@@ -522,52 +525,29 @@ def assemble_split(
 ) -> VirtualSplit:
     """Turn per-file sections into a complete partition of the change list.
 
-    Each changed line belongs to the nearest preceding section anchor;
-    changed lines before any anchor, or in files with no sections at all,
-    go to a synthetic section under "Other changes".
+    Each changed line belongs to the nearest section anchored at or above
+    it.  A catch-all section at line 0, under "Other changes", heads every
+    file, so each line has an owner; it is kept only when it owns a line.
     """
     topics = ensure_other_changes(topics)
-    other_index = next(
-        t.index for t in topics if t.title.lower() == OTHER_CHANGES.lower()
-    )
+    catch_all = Section(0, "Unassigned changes", _other_index(topics))
     assignments: list[FileAssignment] = []
     counts: dict[int, int] = {t.index: 0 for t in topics}
-    total = 0
     for filediff, sections in zip(cl.files, per_file_sections):
-        ordered = sorted(sections, key=lambda s: s.anchor)
+        ordered = [catch_all, *sorted(sections, key=lambda s: s.anchor)]
         anchors = [s.anchor for s in ordered]
-        buckets: dict[int, list[int]] = {i: [] for i in range(len(ordered))}
-        orphans: list[int] = []
+        owned: list[list[int]] = [[] for _ in ordered]
         for pos in filediff.changed_positions():
-            # The last section anchored at or above pos owns it.
-            owner = bisect_right(anchors, pos) - 1
-            if owner < 0:
-                orphans.append(pos)
-            else:
-                buckets[owner].append(pos)
-        assigned: list[AssignedSection] = []
-        if orphans:
-            assigned.append(
-                AssignedSection(
-                    anchor=0,
-                    description="Unassigned changes",
-                    topic_index=other_index,
-                    changed_lines=tuple(orphans),
-                )
-            )
-        for idx, section in enumerate(ordered):
-            assigned.append(
-                AssignedSection(
-                    anchor=section.anchor,
-                    description=section.description,
-                    topic_index=section.topic_index,
-                    changed_lines=tuple(buckets[idx]),
-                )
-            )
-        for entry in assigned:
-            counts[entry.topic_index] += len(entry.changed_lines)
-            total += len(entry.changed_lines)
-        assignments.append(FileAssignment(path=filediff.path, sections=tuple(assigned)))
+            owned[bisect_right(anchors, pos) - 1].append(pos)
+        assigned = tuple(
+            Section(s.anchor, s.description, s.topic_index, tuple(lines))
+            for s, lines in zip(ordered, owned)
+            if lines or s is not catch_all
+        )
+        for section in assigned:
+            counts[section.topic_index] += len(section.changed_lines)
+        assignments.append(FileAssignment(path=filediff.path, sections=assigned))
+    total = sum(counts.values())
     coverage = tuple(
         (index, (count / total) if total else 0.0) for index, count in counts.items()
     )
@@ -656,12 +636,7 @@ def split_from_json(text: str) -> VirtualSplit:
         FileAssignment(
             path=f["path"],
             sections=tuple(
-                AssignedSection(
-                    anchor=s["anchor"],
-                    description=s["description"],
-                    topic_index=s["topic"],
-                    changed_lines=tuple(s["changed_lines"]),
-                )
+                Section(s["anchor"], s["description"], s["topic"], tuple(s["changed_lines"]))
                 for s in f["sections"]
             ),
         )

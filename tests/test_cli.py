@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -589,6 +590,36 @@ class TestTransport:
         assert len(local_model.received) == 2
         assert local_model.received[0][0]["Authorization"] == "Bearer sekrit"
 
+    def test_proxied_request_injection_is_refused_without_the_value(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy
+    ):
+        proxy = ForwardingProxy()
+        try:
+            monkeypatch.setenv("HTTP_PROXY", proxy.url)
+            monkeypatch.setenv("NLO_TEST_KEY", "sekrit\r\nX-Injected: 1")
+            code, out, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        finally:
+            proxy.close()
+        assert (code, out) == (3, "")
+        assert err == "nlo: backend error: request failed: invalid header 'Authorization'\n"
+        assert proxy.seen == [] and local_model.received == []
+
+    def test_each_proxied_call_reads_the_proxy_variables(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.body = GEN_REPLY
+        proxies = [ForwardingProxy(), ForwardingProxy()]
+        try:
+            for proxy in proxies:
+                monkeypatch.setenv("HTTP_PROXY", proxy.url)
+                code, out, _ = self.gen(capsys, tmp_path, sample_file, local_model.url)
+                assert (code, out) == (0, "2| Add the two numbers.\n")
+        finally:
+            for proxy in proxies:
+                proxy.close()
+        assert [proxy.seen for proxy in proxies] == [[f"POST {local_model.url} HTTP/1.1"]] * 2
+
     def test_tls_verifies_against_the_ca_store(
         self, capsys, tmp_path, sample_file, monkeypatch, no_proxy
     ):
@@ -698,6 +729,17 @@ class TestRenderExtractCheck:
         assert "stale" in out
 
 
+    def test_check_reports_an_anchor_moved_onto_a_blank_line(self, capsys, tmp_path):
+        path = tmp_path / "gap.py"
+        path.write_text("def add(a, b):\n\n  return a + b\n", encoding="utf-8")
+        unit = SourceUnit.from_text(path.read_text(encoding="utf-8"))
+        sidecar_write(unit, Outline.of(OutlineStatement(3, "Add them.")), path)
+        document = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+        document["statements"][0]["line"] = 2  # hand-edited onto the blank line
+        sidecar_path(path).write_text(json.dumps(document), encoding="utf-8")
+        code, out, _ = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "violation[blank_line] anchor 2 is a blank line\n")
+
     @pytest.mark.parametrize("command", ["check", "render", "finish"])
     def test_non_utf8_source_with_sidecar_exits_1(self, capsys, sample_file, command):
         self.seed(sample_file)
@@ -770,6 +812,25 @@ class TestFinish:
         assert record_read.statements == (
             (2, "Add the two numbers plus one.", False),
         )
+
+    def test_finish_apply_keeps_star_comments_in_the_file(self, capsys, sample_file, store_dir):
+        unit = SourceUnit.from_text(SAMPLE)
+        outline = Outline.of(OutlineStatement(2, "Add the two numbers."))
+        sidecar_write(unit, outline, sample_file)
+        edited = SAMPLE.replace("  return result", "  result += 1\n  return result")
+        current = SourceUnit.from_text(edited)
+        sample_file.write_text(render_interleaved(current, outline).text() + "\n", encoding="utf-8")
+        session = EditSession(unit, outline, current, outline)
+        finished = render_interleaved(
+            current, Outline.of(OutlineStatement(2, "Add the two numbers plus one."))
+        ).text()
+        record(store_dir, build_finish_prompt(session), f"Bumped.\n```\n{finished}\n```")
+        argv = ["finish", str(sample_file), "--fixtures", str(store_dir), "--apply"]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        assert sample_file.read_text(encoding="utf-8") == finished + "\n"
+        record_read, _ = sidecar_read(sample_file)
+        assert record_read.statements == ((2, "Add the two numbers plus one.", False),)
 
     def test_finish_drops_an_anchor_that_moved_into_a_string(
         self, capsys, sample_file, store_dir
@@ -928,6 +989,14 @@ class TestSplit:
             str(store_dir),
         ]
         assert run(capsys, argv) == run(capsys, argv)
+
+    def test_split_reads_the_diff_from_stdin(self, capsys, tmp_path, store_dir, monkeypatch):
+        diff_path = self.seed_split(tmp_path, store_dir)
+        argv = ["--description", "demo change", "--fixtures", str(store_dir)]
+        from_file = run(capsys, ["split", str(diff_path), *argv])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(SPLIT_DIFF))
+        assert run(capsys, ["split", "-", *argv]) == from_file
+        assert from_file[0] == 0 and "1. Main work" in from_file[1]
 
     def test_split_bad_diff_exits_2(self, capsys, tmp_path, store_dir):
         bad = tmp_path / "bad.diff"
@@ -1175,6 +1244,70 @@ def test_two_recording_processes_lose_no_entry(capsys, tmp_path, local_model, mo
     for corpus in corpora:  # a strict replay now hits every request
         assert run(capsys, [*head, "--corpus", str(corpus)])[0] == 0
     assert len(local_model.received) == 24
+
+
+LONG_UNIT = "def f():\n" + "    x = 1\n" * 1000
+ONE_FILE_DIFF = "--- a/x.py\n+++ b/x.py\n@@ -1 +1 @@\n-a\n+b\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"e.py": ""}, ["gen", "e.py"], "e.py: cannot build a prompt for an empty unit"),
+        (
+            {"long.py": LONG_UNIT},
+            ["gen", "--technique", "infilling", "long.py"],
+            "long.py: unit has 1001 lines; numbering supports at most 999",
+        ),
+        (
+            {"long.py": LONG_UNIT},
+            ["triage", "long.py"],
+            "long.py: unit has 1001 lines; numbering supports at most 999",
+        ),
+        ({"e.py": ""}, ["triage", "e.py"], "e.py: cannot number an empty unit"),
+        ({"corpus/notes.txt": "x"}, ["eval", "--corpus", "corpus"], "corpus: corpus is empty"),
+        (
+            {"cl.diff": ""},
+            ["split", "cl.diff", "--description", "d"],
+            "cl.diff: change list has no files",
+        ),
+        (
+            {"cl.diff": ONE_FILE_DIFF * 2},
+            ["split", "cl.diff", "--description", "d"],
+            "cl.diff: change list contains duplicate file paths",
+        ),
+        (
+            {"r.json": "not json"},
+            ["gen", "add.py"],
+            "config error: responses file r.json: not JSON: Expecting value",
+        ),
+        (
+            {"r.json": "[1]"},
+            ["gen", "add.py"],
+            "config error: responses file r.json must hold a JSON list of strings",
+        ),
+    ],
+    ids=[
+        "gen-empty",
+        "gen-infilling-too-long",
+        "triage-too-long",
+        "triage-empty",
+        "eval-no-py-files",
+        "split-empty-diff",
+        "split-duplicate-path",
+        "responses-not-json",
+        "responses-not-strings",
+    ],
+)
+def test_unusable_input_exits_1(capsys, tmp_path, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"add.py": SAMPLE, "r.json": '["2| Add."]', **files}.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [*argv, "--responses-file", "r.json"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"nlo: {message}")
+    assert len(err.splitlines()) == 1
 
 
 class TestUsageErrors:

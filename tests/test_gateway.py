@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -313,6 +314,22 @@ class TestHttpBackend:
         assert payload["temperature"] == 0.5
         assert payload["prompt"].startswith("SYSTEM INSTRUCTIONS:")
         assert payload["messages"] is None
+
+    def test_placeholders_inside_longer_strings_and_lists_are_text(self):
+        template = {
+            "input": "model={model} prompt={prompt}",
+            "stop": ["{model}", "end of {model}", 3],
+            "options": {"note": "t={temperature} budget={max_output}"},
+        }
+        config = replace(self.config(), request_template=template)
+        backend = HttpBackend(config, post=lambda *a, **k: None)
+        request = make_request("hi", temperature=0.5)
+        payload = backend.build_payload(request)
+        assert payload == {
+            "input": f"model=my-model prompt={request.prompt.serialize()}",
+            "stop": ["my-model", "end of my-model", 3],
+            "options": {"note": "t=0.5 budget={max_output}"},
+        }
 
     def test_chat_payload_carries_messages(self):
         backend = HttpBackend(self.config(mode="chat"), post=lambda *a, **k: None)

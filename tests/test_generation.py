@@ -237,6 +237,16 @@ class TestParseInterleavedErrors:
         assert report.issues[0].severity == "major"
         assert not report.truncated
 
+    def test_trailing_blank_original_lines_after_the_response_ends(self):
+        unit = SourceUnit.from_text("def f():\n  return 1\n\n\n")
+        report = parse_interleaved("def f():\n  #* Return one.\n  return 1", unit)
+        assert [(i.kind, i.location) for i in report.issues] == [
+            ("missing_blank_line", 3),
+            ("missing_blank_line", 4),
+        ]
+        assert report.outline.statements == (OutlineStatement(2, "Return one."),)
+        assert not report.has_major()
+
     def test_empty_outline_from_echoed_code(self, tally):
         report = parse_interleaved(TALLY_CODE, tally)
         assert kinds(report) == ["empty_outline"]

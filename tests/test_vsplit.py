@@ -108,6 +108,30 @@ class TestParseUnifiedDiff:
         (filediff,) = parse_unified_diff(make_diff(old, new, "f.py"))
         assert apply_file_diff(old, filediff) == new
 
+    @pytest.mark.parametrize(
+        "text, message, line_index",
+        [
+            (SIMPLE_DIFF + "\nstray text", "unexpected line outside a file diff", 8),
+            ("--- a/f\n+++ b/f\n@@ -1,2 +1,2 @@\n a\n?b", "unexpected hunk body line", 5),
+            ("--- a/f\n+++ b/f\n@@ -1,2 +1,1 @@\n a\n+b", "contradicts its header counts", 5),
+            ("--- a/f\n+++ b/f\n" + SIMPLE_DIFF, "file diff contains no hunks", 3),
+        ],
+        ids=["stray-line", "bad-body-line", "body-longer-than-header", "no-hunk"],
+    )
+    def test_error_names_its_diff_line(self, text, message, line_index):
+        with pytest.raises(DiffParseError, match=message) as exc_info:
+            parse_unified_diff(text)
+        assert exc_info.value.line_index == line_index
+        assert str(exc_info.value).endswith(f"(diff line {line_index})")
+
+    def test_no_newline_markers_skipped(self):
+        marker = "\\ No newline at end of file"
+        text = f"--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n{marker}\n+y\n{marker}\n{SIMPLE_DIFF}"
+        first, second = parse_unified_diff(text)
+        assert first.hunks[0].lines == (("removed", "x"), ("added", "y"))
+        assert apply_file_diff(["x"], first) == ["y"]
+        assert second.path == "alpha.py"
+
 
 class TestNumberDiff:
     def test_single_run_hint(self):
@@ -160,6 +184,13 @@ class TestParseTopics:
     def test_no_numbered_line_raises(self):
         with pytest.raises(TopicParseError):
             parse_topics("no topics to be found here")
+
+    def test_numbered_line_with_blank_title_skipped(self):
+        topics = parse_topics("Topics:\n1.    \n2. Real work")
+        assert [t.title for t in topics] == ["Real work", "Other changes"]
+        cl = ChangeList(description="demo", files=parse_unified_diff(TWO_FILE_DIFF))
+        with pytest.raises(TopicParseError):
+            split_changelist(cl, ScriptedBackend(["Topics:\n1.    "]))
 
     def test_paren_numbering_accepted(self):
         topics = parse_topics("1) First\n2) Other changes")
@@ -276,6 +307,14 @@ class TestAssemble:
         assert assignment.sections[0].anchor == 0
         assert assignment.sections[0].changed_lines == (6,)
         assert assignment.sections[0].topic_index == 2
+
+    def test_catch_all_topic_found_by_its_stripped_title(self):
+        cl = ChangeList(description="d", files=parse_unified_diff(SIMPLE_DIFF))
+        topics = (Topic(1, "Main work"), Topic(2, " other changes "))
+        (assignment,) = assemble_split(cl, [()], topics).assignments
+        assert assignment.sections == (Section(0, "Unassigned changes", 2, (6,)),)
+        (section,) = parse_sections("6|9| Mystery", cl.files[0], topics)[0]
+        assert section.topic_index == 2
 
 
 class TestRenderSplitReport:
