@@ -25,6 +25,7 @@ from .generation import (
     INFILLING_INSTRUCTIONS,
     INTERLEAVED_INSTRUCTIONS,
     PromptConfig,
+    _require_lines,
     generate_outline,
     infill_text,
 )
@@ -448,10 +449,12 @@ def _eval_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_eval(args, settings: Settings) -> int:
-    corpus_dir = Path(args.corpus)
-    corpus = [
-        _load_unit(str(p), settings) for p in sorted(corpus_dir.glob("*.py"))
-    ]
+    corpus = []
+    for path in sorted(Path(args.corpus).glob("*.py")):
+        unit = _load_unit(str(path), settings)
+        with _naming(path):  # the harness sees units, not their paths
+            _require_lines(unit)
+        corpus.append(unit)
     techniques = args.technique or ["interleaved", "infilling"]
     configs = _prompt_configs(settings, techniques)
     models = args.models or [settings.model]

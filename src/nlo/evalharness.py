@@ -1,9 +1,10 @@
 """Corpus evaluation: how often each backend/technique parses cleanly.
 
-Each (unit, technique, backend) combination runs the generation pipeline;
-reports are bucketed per backend and technique into functions with no
-issues, only minor issues, or at least one major issue, alongside the
-average statement count.
+Each (unit, technique) pair builds its prompt once and sends it to every
+backend, parsing each reply with the technique's parser.  Reports are
+bucketed per backend and technique into functions with no issues, only
+minor issues, or at least one major issue, alongside the average statement
+count.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fanout import fan_out
-from .gateway import Backend
-from .generation import PromptConfig, generate_outline
+from .gateway import Backend, _ask
+from .generation import PromptConfig, _parser, build_prompt
 from .source_model import SourceUnit
 
 EVAL_SCHEMA_VERSION = 1
@@ -49,8 +50,10 @@ def evaluate_corpus(
 ) -> list[EvalRow]:
     """Run every (unit, technique, backend) combination and tabulate.
 
-    ``configs`` maps technique name to the prompt config to use for it;
-    every request is sent with ``temperature`` and ``max_output``.
+    ``configs`` maps technique name to the prompt config to use for it.
+    Each (technique, unit) job builds one prompt and sends it to every
+    backend in order, with ``temperature`` and ``max_output``; ``max_workers``
+    threads run the jobs.
     Rows come back sorted by backend id then technique.
     """
     if not corpus:
@@ -58,26 +61,30 @@ def evaluate_corpus(
     if not configs or not backends:
         raise ValueError("need at least one technique config and one backend")
     jobs = [
-        (backend, technique, config, unit)
-        for backend in backends
+        (technique, config, unit)
         for technique, config in sorted(configs.items())
         for unit in corpus
     ]
 
-    def run(job):
-        backend, technique, config, unit = job
-        report = generate_outline(unit, config, backend, temperature, max_output)
-        return backend, technique, report
+    def run(job):  # one prompt, sent to every backend, then dropped
+        _technique, config, unit = job
+        prompt = build_prompt(unit, config)
+        parse = _parser(config.technique)
+        return [
+            parse(_ask(prompt, backend, temperature, max_output), unit)
+            for backend in backends
+        ]
 
     results = fan_out(run, jobs, max_workers)
 
     buckets: dict[tuple[str, str], dict[str, int]] = {}
     statements: dict[tuple[str, str], int] = {}
-    for backend, technique, report in results:
-        key = (backend.model_id, technique)
-        buckets.setdefault(key, {"none": 0, "minor": 0, "major": 0})
-        buckets[key][classify_report(report)] += 1
-        statements[key] = statements.get(key, 0) + len(report.outline)
+    for (technique, _config, _unit), reports in zip(jobs, results):
+        for backend, report in zip(backends, reports):
+            key = (backend.model_id, technique)
+            buckets.setdefault(key, {"none": 0, "minor": 0, "major": 0})
+            buckets[key][classify_report(report)] += 1
+            statements[key] = statements.get(key, 0) + len(report.outline)
     rows = [
         EvalRow(
             backend_id=model,

@@ -15,6 +15,7 @@ directly therefore loads neither ``http.client`` nor, over ``http://``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -59,6 +60,11 @@ class ChatPrompt:
         Backends without role structure receive exactly this block; it is
         also the canonical byte representation used for fixture hashing.
         """
+        return self._serialized
+
+    @functools.cached_property
+    def _serialized(self) -> str:
+        """Built once per prompt: every backend a prompt goes to keys it."""
         sections = [f"{ROLE_LABELS['system']}\n{self.system}"]
         for role, text in self.turns:
             label = ROLE_LABELS[role]
@@ -66,13 +72,14 @@ class ChatPrompt:
         return "\n\n".join(sections)
 
     def messages(self) -> list[dict[str, str]]:
-        """Role/content pairs for chat-shaped HTTP APIs."""
-        msgs = [{"role": "system", "content": self.system}]
-        for role, text in self.turns:
-            if role == "assistant" and not text and (role, text) == self.turns[-1]:
-                continue  # the empty cue is implicit in chat APIs
-            msgs.append({"role": role, "content": text})
-        return msgs
+        """Role/content pairs for chat-shaped HTTP APIs; a trailing empty
+        assistant cue is left out, since it is implicit in chat APIs."""
+        turns = self.turns
+        if turns and turns[-1] == ("assistant", ""):
+            turns = turns[:-1]
+        return [{"role": "system", "content": self.system}] + [
+            {"role": role, "content": text} for role, text in turns
+        ]
 
 
 def user_prompt(
@@ -182,6 +189,7 @@ class FixtureStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._dir = str(self.root)
         self._v1: frozenset[str] = frozenset()
         index = self.root / self.INDEX_NAME
         if index.exists():
@@ -207,18 +215,20 @@ class FixtureStore:
         return sorted(self._v1.union(n[:-4] for n in names if n.endswith(".rec")))
 
     def get(self, key: str) -> str:
-        path = self.root / f"{key}.rec"
-        if key in self._v1 and not path.exists():
-            path = self.root / f"{key}.txt"
+        # A string path and a bare open: replay reads one record per request.
+        path = os.path.join(self._dir, key + ".rec")
+        if key in self._v1 and not os.path.exists(path):
+            path = path[:-4] + ".txt"
         try:  # bytes, not read_text: a response replays without newline translation
-            text = path.read_bytes().decode("utf-8")
+            with open(path, "rb") as record:
+                text = record.read().decode("utf-8")
         except FileNotFoundError:
             raise ReplayMissError(key) from None
         except UnicodeDecodeError as exc:
             raise BackendError(f"fixture record {path}: not UTF-8 text: {exc}") from exc
         except OSError as exc:
             raise BackendError(f"fixture record {exc}") from exc
-        return text.partition("\n")[2] if path.suffix == ".rec" else text
+        return text.partition("\n")[2] if path.endswith(".rec") else text
 
     def put(self, key: str, response: str, meta: dict | None = None) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InputError
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
@@ -207,9 +208,13 @@ def plain_comment_render(unit: SourceUnit, outline: Outline) -> str:
 def build_prompt(unit: SourceUnit, config: PromptConfig) -> ChatPrompt:
     """Assemble the few-shot prompt for one unit, ending with an empty
     assistant cue."""
+    _require_lines(unit)
+    return user_prompt(config.instructions, _user_turn(unit, config.technique), config._shots)
+
+
+def _require_lines(unit: SourceUnit) -> None:
     if len(unit) == 0:
         raise InputError("cannot build a prompt for an empty unit")
-    return user_prompt(config.instructions, _user_turn(unit, config.technique), config._shots)
 
 
 def _user_turn(unit: SourceUnit, technique: str) -> str:
@@ -265,7 +270,7 @@ def parse_interleaved(response: str, original: SourceUnit) -> ParseReport:
     pred_len, orig_len = len(pred), len(original.lines)
     while p < pred_len and o < orig_len:
         pline, oline = pred[p], original.lines[o]
-        if pline.rstrip() == oline.rstrip():
+        if pline == oline or pline.rstrip() == oline.rstrip():
             if pending:
                 flush(o + 1)
             p += 1
@@ -573,6 +578,9 @@ def generate_outline(
 ) -> ParseReport:
     """Prompt, complete, and parse with the technique-matched parser."""
     response = _ask(build_prompt(unit, config), backend, temperature, max_output)
-    if config.technique == "interleaved":
-        return parse_interleaved(response, unit)
-    return parse_infilling(response, unit)
+    return _parser(config.technique)(response, unit)
+
+
+def _parser(technique: str) -> Callable[[str, SourceUnit], ParseReport]:
+    """The parser for a response to a ``technique`` prompt."""
+    return parse_interleaved if technique == "interleaved" else parse_infilling

@@ -12,6 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterator, Sequence
 
 from .errors import InputError
 
@@ -55,11 +56,12 @@ class LanguageProfile:
         if self.docstring_rule not in ("python_triple_quote", "none"):
             raise ValueError(f"unknown docstring rule: {self.docstring_rule}")
 
-    @property
+    # Cached: ``classify_line`` reads both on every call.
+    @functools.cached_property
     def star_prefix(self) -> str:
         return self.line_comment_token + "*"
 
-    @property
+    @functools.cached_property
     def verified_prefix(self) -> str:
         return self.star_prefix + "!"
 
@@ -160,7 +162,28 @@ def number_lines(unit: SourceUnit) -> str:
         raise InputError(
             f"unit has {len(unit)} lines; numbering supports at most {MAX_NUMBERED_LINES}"
         )
-    return "\n".join(f"{i:>3}|{line}" for i, line in enumerate(unit.lines, start=1))
+    return "\n".join(_numbered(unit.lines))
+
+
+_prefixes: tuple[str, ...] = ()  # "  1|", "  2|", ...: built on first use
+
+
+def _numbered(lines: Sequence[str], first: int = 1) -> Iterator[str]:
+    """``f"{i:>3}|{line}"`` for each of ``lines``, numbered from ``first``.
+
+    The prefixes come from one table, built on first use and extended, at
+    least twofold, when a unit or diff needs more; each prefix is formatted
+    once.  The table is replaced, never grown in place, so a thread still
+    reading the old one is unaffected.
+    """
+    global _prefixes
+    prefixes, last = _prefixes, first - 1 + len(lines)
+    if len(prefixes) < last:
+        size = max(last, 2 * len(prefixes))
+        prefixes = _prefixes = prefixes + tuple(
+            f"{i:>3}|" for i in range(len(prefixes) + 1, size + 1)
+        )
+    return map(str.__add__, prefixes[first - 1 : last], lines)
 
 
 def indentation(line: str) -> int:

@@ -21,6 +21,7 @@ from .errors import DiffParseError, InputError, TopicParseError
 from .fanout import fan_out
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .generation import ParseIssue, _order_records, _scan_records
+from .source_model import _numbered
 
 OTHER_CHANGES = "Other changes"
 
@@ -290,9 +291,7 @@ def change_run_starts(filediff: FileDiff) -> tuple[int, ...]:
 
 def number_diff(filediff: FileDiff) -> str:
     """Prefix every diff line with ``N|`` and append change-start hints."""
-    numbered = "\n".join(
-        f"{i:>3}|{text}" for i, (text, _) in enumerate(filediff._kinds, start=1)
-    )
+    numbered = "\n".join(_numbered(filediff.render_lines()))
     starts = change_run_starts(filediff)
     if not starts:
         return numbered
@@ -673,10 +672,8 @@ def _section_slices(split: VirtualSplit, cl: ChangeList) -> dict[int, list]:
             end = anchors[following] - 1 if following < len(anchors) else len(rendered)
             low = max(1, start - _CONTEXT_AROUND)
             high = min(len(rendered), end + _CONTEXT_AROUND)
-            lines = []
-            for i in range(low, high + 1):
-                muted = not start <= i <= end
-                lines.append((f"{i:>3}|{rendered[i - 1]}", muted))
+            numbered = _numbered(rendered[low - 1 : high], low)
+            lines = [(text, not start <= i <= end) for i, text in enumerate(numbered, low)]
             slices.setdefault(section.topic_index, []).append(
                 (assignment.path, section, lines)
             )

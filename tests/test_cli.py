@@ -1310,6 +1310,18 @@ def test_unusable_input_exits_1(capsys, tmp_path, monkeypatch, files, argv, mess
     assert len(err.splitlines()) == 1
 
 
+def test_eval_names_an_empty_corpus_file(capsys, tmp_path, monkeypatch):
+    # An empty __init__.py is named, not skipped: skipping would change the counts.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+    (tmp_path / "pkg" / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (tmp_path / "r.json").write_text('["2| Add."]', encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--corpus", "pkg", "--responses-file", "r.json"])
+    assert (code, out) == (1, "")
+    assert err == "nlo: pkg/__init__.py: cannot build a prompt for an empty unit\n"
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -71,6 +71,29 @@ class TestChatPrompt:
             {"role": "user", "content": "u"},
         ]
 
+    def test_messages_keep_an_empty_reply_before_the_cue(self):
+        # Only the trailing cue is implicit: an empty demonstration reply
+        # still separates its user turn from the next one.
+        prompt = user_prompt("sys", "u2", [("u1", "")])
+        assert prompt.messages() == [
+            {"role": "system", "content": "sys"},
+            {"role": "user", "content": "u1"},
+            {"role": "assistant", "content": ""},
+            {"role": "user", "content": "u2"},
+        ]
+        assert prompt.serialize() == (
+            "SYSTEM INSTRUCTIONS:\nsys\n\nUSER:\nu1\n\nASSISTANT:\n\nUSER:\nu2\n\nASSISTANT:"
+        )
+
+    def test_messages_without_a_cue_keep_every_turn(self):
+        prompt = ChatPrompt(system="s", turns=(("user", "a"), ("assistant", ""), ("user", "b")))
+        assert [m["role"] for m in prompt.messages()] == ["system", "user", "assistant", "user"]
+
+    def test_serialization_is_built_once_per_prompt(self):
+        prompt = user_prompt("s", "u", [("q", "a")])
+        assert prompt.serialize() is prompt.serialize()
+        assert prompt.serialize() == user_prompt("s", "u", [("q", "a")]).serialize()
+
 
 class TestRequestKey:
     def test_identical_requests_identical_keys(self):
@@ -282,6 +305,11 @@ class TestFixtureStore:
     def test_non_utf8_store_file_is_a_backend_error(self, tmp_path, name):
         (tmp_path / name).write_bytes(b"{}\n\xff")
         with pytest.raises(BackendError, match="not UTF-8"):
+            FixtureStore(tmp_path).get("k")
+
+    def test_unreadable_record_is_a_backend_error_naming_it(self, tmp_path):
+        (tmp_path / "k.rec").mkdir()
+        with pytest.raises(BackendError, match=r"^fixture record .*k\.rec'$"):
             FixtureStore(tmp_path).get("k")
 
 class TestCallableBackend:
