@@ -20,11 +20,11 @@ from .errors import BackendError, InputError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
 from .fewshots import load_fewshot_set, load_triage_examples
 from .fileio import read_text, write_text_atomic
-from .gateway import FixtureStore, GenerationRequest, request_key, user_prompt
+from .gateway import FixtureStore, GenerationRequest, _record_meta, request_key, user_prompt
 from .generation import (
-    INFILLING_INSTRUCTIONS,
-    INTERLEAVED_INSTRUCTIONS,
+    TECHNIQUES,
     PromptConfig,
+    _INSTRUCTIONS,
     _require_lines,
     generate_outline,
     infill_text,
@@ -55,14 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _instructions(technique: str) -> str:
-    return (
-        INTERLEAVED_INSTRUCTIONS
-        if technique == "interleaved"
-        else INFILLING_INSTRUCTIONS
-    )
-
-
 def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
     """One prompt config per technique, sharing one load of the few-shot set."""
     try:
@@ -70,7 +62,7 @@ def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
     except ValueError as exc:  # a malformed or ill-fitting gold outline
         raise ConfigError(f"few-shot set {settings.fewshot_set!r}: {exc}") from exc
     return {
-        t: PromptConfig(technique=t, instructions=_instructions(t), few_shots=few_shots)
+        t: PromptConfig(technique=t, instructions=_INSTRUCTIONS[t], few_shots=few_shots)
         for t in techniques
     }
 
@@ -83,6 +75,14 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
     suffix = Path(path).suffix.lstrip(".")
     profile = registry.get(suffix) or profile_for_path(path)
     return SourceUnit.from_text(text, profile=profile)
+
+
+def _write_source(path: str, unit: SourceUnit) -> None:
+    """Write ``unit`` over ``path``, ending each line as the file's first line ends."""
+    with open(path, encoding="utf-8", newline="") as source:
+        first = source.readline()
+    ending = first[len(first.rstrip("\r\n")) :] or "\n"
+    write_text_atomic(path, ending.join(unit.lines) + ending)
 
 
 @contextmanager
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _gen_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file")
-    sub.add_argument("--technique", choices=["interleaved", "infilling"])
+    sub.add_argument("--technique", choices=TECHNIQUES)
     sub.add_argument(
         "--in-place",
         action="store_true",
@@ -205,8 +205,7 @@ def _cmd_gen(args, settings: Settings) -> int:
     if report.has_major():
         return EXIT_PARSE
     if args.in_place:
-        rendered = render_interleaved(unit, report.outline)
-        write_text_atomic(args.file, rendered.text() + "\n")
+        _write_source(args.file, render_interleaved(unit, report.outline))
     elif not args.no_sidecar:
         sidecar_write(unit, report.outline, args.file)
     return EXIT_OK
@@ -238,7 +237,7 @@ def _cmd_render(args, settings: Settings) -> int:
         return EXIT_OK
     rendered = render_interleaved(unit, outline)
     if args.in_place:
-        write_text_atomic(args.file, rendered.text() + "\n")
+        _write_source(args.file, rendered)
     else:
         print(rendered.text())
     return EXIT_OK
@@ -258,7 +257,7 @@ def _cmd_extract(args, settings: Settings) -> int:
     unit, outline = extract(annotated)
     print(infill_text(outline))
     if args.in_place:
-        write_text_atomic(args.file, unit.text() + "\n")
+        _write_source(args.file, unit)
         sidecar_write(unit, outline, args.file)
     return EXIT_OK
 
@@ -332,11 +331,10 @@ def _cmd_finish(args, settings: Settings) -> int:
         print(result.reasoning, file=sys.stderr)
     print(result.diff)
     if args.apply:
+        new_unit = result.new_unit
         if has_star_comments:
-            new_text = render_interleaved(result.new_unit, result.new_outline).text()
-        else:
-            new_text = result.new_unit.text()
-        write_text_atomic(args.file, new_text + "\n")
+            new_unit = render_interleaved(new_unit, result.new_outline)
+        _write_source(args.file, new_unit)
         sidecar_write(result.new_unit, result.new_outline, args.file)
     return EXIT_OK
 
@@ -434,7 +432,7 @@ def _eval_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--technique",
         action="append",
-        choices=["interleaved", "infilling"],
+        choices=TECHNIQUES,
         help="repeatable; default is both",
     )
     sub.add_argument(
@@ -455,7 +453,7 @@ def _cmd_eval(args, settings: Settings) -> int:
         with _naming(path):  # the harness sees units, not their paths
             _require_lines(unit)
         corpus.append(unit)
-    techniques = args.technique or ["interleaved", "infilling"]
+    techniques = args.technique or TECHNIQUES
     configs = _prompt_configs(settings, techniques)
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
@@ -497,15 +495,8 @@ def _cmd_fixtures(args, settings: Settings) -> int:
     prompt = user_prompt(args.system, read_text(args.prompt_file))
     request = GenerationRequest(prompt=prompt, temperature=args.temperature)
     key = request_key(args.backend_id, args.model, request)
-    store.put(
-        key,
-        read_text(args.response_file),
-        meta={
-            "backend": args.backend_id,
-            "model": args.model,
-            "temperature": args.temperature,
-        },
-    )
+    meta = _record_meta(args.backend_id, args.model, args.temperature)
+    store.put(key, read_text(args.response_file), meta=meta)
     print(key)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ variables as ``${VAR_NAME}``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -73,8 +74,8 @@ _KEYS = {
     "technique": (lambda v: v in TECHNIQUES, " or ".join(TECHNIQUES)),
     "fewshot_set": _STRING,
     "triage_set": _STRING,
-    "max_output": (lambda v: v is None or type(v) is int, "an integer or null"),
-    "temperature": (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0"),
+    "max_output": (lambda v: v is None or type(v) is int and v > 0, "a positive integer or null"),
+    "temperature": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0"),
     "responses_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "http": _MAPPING,
 }

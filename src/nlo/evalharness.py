@@ -54,12 +54,17 @@ def evaluate_corpus(
     Each (technique, unit) job builds one prompt and sends it to every
     backend in order, with ``temperature`` and ``max_output``; ``max_workers``
     threads run the jobs.
-    Rows come back sorted by backend id then technique.
+    Rows come back sorted by backend id then technique; a model id given
+    twice is an :class:`InputError`, as its rows would merge.
     """
     if not corpus:
         raise InputError("corpus is empty")
     if not configs or not backends:
         raise ValueError("need at least one technique config and one backend")
+    models = [backend.model_id for backend in backends]
+    repeated = next((m for i, m in enumerate(models) if m in models[:i]), None)
+    if repeated is not None:  # rows are keyed by model id
+        raise InputError(f"model id {repeated!r} given more than once")
     jobs = [
         (technique, config, unit)
         for technique, config in sorted(configs.items())

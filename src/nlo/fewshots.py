@@ -16,7 +16,7 @@ from pathlib import Path
 from .fileio import read_text
 from .generation import FewShotExample, _scan_records
 from .outline import Outline, OutlineStatement
-from .source_model import C_LIKE_PROFILE, SourceUnit, profile_for_path
+from .source_model import C_LIKE_PROFILE, SourceUnit, _split_lines, profile_for_path
 
 DEFAULT_SET = "default"
 
@@ -28,7 +28,7 @@ def parse_gold_outline(text: str) -> Outline:
     records, issues = _scan_records(text, _GOLD_LINE, None)
     if issues:
         lineno = issues[0].location
-        line = text.splitlines()[lineno - 1]
+        line = _split_lines(text)[lineno - 1]
         raise ValueError(f"outline line {lineno} is malformed: {line!r}")
     return Outline(statements=tuple(OutlineStatement(a, t) for a, t, _ in records))
 

@@ -236,6 +236,11 @@ class FixtureStore:
         write_text_atomic(self.root / f"{key}.rec", f"{header}\n{response}")
 
 
+def _record_meta(backend_id: str, model_id: str, temperature: float) -> dict:
+    """The metadata line of a recording: who answered, at which temperature."""
+    return {"backend": backend_id, "model": model_id, "temperature": temperature}
+
+
 class ReplayBackend:
     """Replays recorded responses by request hash.
 
@@ -269,15 +274,8 @@ class ReplayBackend:
             if self.record_from is None:
                 raise
         response = self.record_from.complete(request)
-        self.store.put(
-            key,
-            response,
-            meta={
-                "backend": self.backend_id,
-                "model": self.model_id,
-                "temperature": request.temperature,
-            },
-        )
+        meta = _record_meta(self.backend_id, self.model_id, request.temperature)
+        self.store.put(key, response, meta=meta)
         return response
 
 

@@ -30,7 +30,7 @@ from .source_model import (
     leading_whitespace,
     number_lines,
 )
-from .source_model import _literals
+from .source_model import _literals, _non_blank_below, _split_lines
 
 # --- Issue taxonomy ---------------------------------------------------------
 
@@ -150,7 +150,9 @@ Identify the logical sections of the code and summarize them. Format your respon
 
 Do not repeat the code! Just provide the summary."""
 
-TECHNIQUES = ("interleaved", "infilling")
+# Each technique's system instructions; ``TECHNIQUES`` lists them in this order.
+_INSTRUCTIONS = {"interleaved": INTERLEAVED_INSTRUCTIONS, "infilling": INFILLING_INSTRUCTIONS}
+TECHNIQUES = tuple(_INSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ _NO_BLANK = "blank original line has no blank response line"
 
 def _strip_code_fence(response: str) -> list[str]:
     """Drop one surrounding triple-backtick fence, if present."""
-    lines = response.splitlines()
+    lines = _split_lines(response)
     first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if first is None or not lines[first].strip().startswith("```"):
         return lines
@@ -366,7 +368,7 @@ def _scan_records(
     """
     records: list[tuple] = []
     issues: list[ParseIssue] = []
-    for lineno, line in enumerate(response.splitlines(), start=1):
+    for lineno, line in enumerate(_split_lines(response), start=1):
         if not line.strip():
             continue
         match = pattern.fullmatch(line)
@@ -420,7 +422,7 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
     repaired: list[tuple[int, str]] = []
     for anchor, text, _ in _order_records(records, issues):
         if original.classify(anchor) is LineClass.BLANK:
-            moved = _next_non_blank(original, anchor)
+            moved = _non_blank_below(original.lines, anchor)
             if moved is None:
                 detail = f"no non-blank line at or after {anchor}"
                 issues.append(ParseIssue("line_number_out_of_bounds", anchor, detail))
@@ -440,13 +442,6 @@ def parse_infilling(response: str, original: SourceUnit) -> ParseReport:
         ),
         issues=tuple(issues),
     )
-
-
-def _next_non_blank(unit: SourceUnit, start: int) -> int | None:
-    for i in range(start, len(unit) + 1):
-        if unit.classify(i) is not LineClass.BLANK:
-            return i
-    return None
 
 
 # --- Constraints -------------------------------------------------------------
@@ -547,7 +542,7 @@ def constraint_accepts(
         return k, k < end and above[k] is True
 
     states = {at(0)}
-    lines = candidate.splitlines()
+    lines = _split_lines(candidate)
     for index, line in enumerate(lines, start=1):
         is_comment = classify_line(constraint.profile, line) in COMMENT_CLASSES
         advanced: set[tuple[int, bool]] = set()

@@ -96,6 +96,22 @@ class _LineModel:
     first_body_line: int | None  # first non-blank line below signature and docstring
 
 
+def _split_lines(text: str) -> list[str]:
+    r"""Lines ended only by ``\n``, ``\r\n`` or ``\r``, as in Python and C (``str.splitlines``
+    also ends one at ``\f``, U+2028 and six others); a final ending opens no line."""
+    if "\r" in text:  # a test for "\r" is cheaper than a search for "\r\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _non_blank_below(lines: Sequence[str], after: int) -> int | None:
+    """The 1-based index of the first non-blank line below line ``after``."""
+    return next((j + 1 for j in range(after, len(lines)) if lines[j].strip()), None)
+
+
 @dataclass(frozen=True)
 class SourceUnit:
     """An immutable, line-indexed piece of source code."""
@@ -110,7 +126,7 @@ class SourceUnit:
 
     @classmethod
     def from_text(cls, text: str, profile: LanguageProfile = PYTHON_PROFILE) -> "SourceUnit":
-        return cls(lines=tuple(text.splitlines()), profile=profile)
+        return cls(lines=tuple(_split_lines(text)), profile=profile)
 
     def text(self) -> str:
         return "\n".join(self.lines)
@@ -250,9 +266,6 @@ def _scan(unit: SourceUnit) -> _LineModel:
     level = list(accumulate((c.count("(") - c.count(")") for c in masked), initial=0))
     tails = [c.rstrip() for c in masked]
 
-    def non_blank(after: int) -> int | None:  # the first one below line ``after``
-        return next((j + 1 for j in range(after, len(lines)) if lines[j].strip()), None)
-
     signature_end = docstring = body = None
     for i, line in enumerate(lines):
         if not in_string[i] and line.lstrip().startswith(("def ", "async def ", "class ")):
@@ -260,10 +273,10 @@ def _scan(unit: SourceUnit) -> _LineModel:
             signature_end = next((j + 1 for j in ends if tails[j].endswith(":")), None)
             break
     if signature_end is not None:
-        body = non_blank(signature_end)
+        body = _non_blank_below(lines, signature_end)
         if body is not None and body - 1 in leading:
             docstring = (body, leading[body - 1] + 1)
-            body = non_blank(docstring[1])
+            body = _non_blank_below(lines, docstring[1])
     backslash = (False, *(t.endswith("\\") for t in tails[:-1]))
     return _LineModel(
         tuple(in_string), tuple(level[:-1]), backslash, docstring, body

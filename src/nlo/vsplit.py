@@ -21,7 +21,7 @@ from .errors import DiffParseError, InputError, TopicParseError
 from .fanout import fan_out
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .generation import ParseIssue, _order_records, _scan_records
-from .source_model import _numbered
+from .source_model import _numbered, _split_lines
 
 OTHER_CHANGES = "Other changes"
 
@@ -170,7 +170,7 @@ def parse_unified_diff(text: str) -> tuple[FileDiff, ...]:
 
     Unknown metadata lines (diff headers, mode lines, ...) are skipped.
     """
-    lines = text.splitlines()
+    lines = _split_lines(text)
     files: list[FileDiff] = []
     i = 0
     n = len(lines)
@@ -302,7 +302,7 @@ def number_diff(filediff: FileDiff) -> str:
 def strip_diff_numbering(numbered: str) -> str:
     """Invert :func:`number_diff`, recovering the raw diff text."""
     body = numbered.split("\n\nChange blocks start at lines: ")[0]
-    return "\n".join(line.split("|", 1)[1] for line in body.splitlines())
+    return "\n".join(line.split("|", 1)[1] for line in _split_lines(body))
 
 
 # --- Topic generation ---------------------------------------------------------
@@ -389,16 +389,12 @@ def parse_topics(response: str) -> tuple[Topic, ...]:
     """Read ``N. title`` lines, preferring those after the last "Topics:" marker.
 
     A numbered line with a blank title is skipped."""
-    lines = response.splitlines()
+    lines = _split_lines(response)
     marker_indexes = [
         i for i, ln in enumerate(lines) if ln.strip().lower() == "topics:"
     ]
     candidates = lines[marker_indexes[-1] + 1 :] if marker_indexes else lines
-    titles: list[str] = []
-    for line in candidates:
-        match = _TOPIC_LINE.fullmatch(line)
-        if match:
-            titles.append(match.group(2))
+    titles = [match.group(2) for match in map(_TOPIC_LINE.fullmatch, candidates) if match]
     if not titles:
         raise TopicParseError("response contains no numbered topic line with a title")
     topics = tuple(Topic(index=i, title=t) for i, t in enumerate(titles, start=1))

@@ -1123,6 +1123,16 @@ class TestEval:
             }
         ]
 
+    def test_eval_refuses_a_repeated_model_id(self, capsys, tmp_path, store_dir):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "one.py").write_text(SAMPLE, encoding="utf-8")
+        argv = ["eval", "--corpus", str(corpus_dir), "--fixtures", str(store_dir)]
+        code, out, err = run(capsys, [*argv, "--model-id", "default", "--model-id", "default"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"nlo: {corpus_dir}: model id 'default' ")
+        assert len(err.splitlines()) == 1
+
     def test_eval_sends_the_configured_budget(self, capsys, tmp_path):
         (tmp_path / "corpus").mkdir()
         (tmp_path / "corpus" / "one.py").write_text(SAMPLE, encoding="utf-8")

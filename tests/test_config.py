@@ -1,5 +1,6 @@
 import pytest
 
+from nlo.cli import main
 from nlo.config import ConfigError, Settings, load_settings, make_backend
 from nlo.gateway import (
     GenerationRequest,
@@ -122,6 +123,26 @@ class TestLoadSettings:
         config.write_text("- just\n- a list\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_settings(config)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "max_output: -1\n",
+            "max_output: 0\n",
+            "temperature: .inf\n",
+            "temperature: -.inf\n",
+            "temperature: .nan\n",
+        ],
+    )
+    def test_unusable_value_exits_1_at_load(self, capsys, tmp_path, text):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_settings(config)
+        assert main(["--config", str(config), "fixtures", "list", "--fixtures", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nlo: config error: {text.split(':')[0]} must be ")
+        assert len(err.splitlines()) == 1
 
 
 class TestMakeBackend:

@@ -114,6 +114,17 @@ class TestEvaluateCorpus:
         rows = evaluate_corpus(corpus, {"infilling": config}, [backend_b, backend_a])
         assert [r.backend_id for r in rows] == ["model-a", "model-b"]
 
+    def test_repeated_model_id_rejected(self):
+        from nlo.errors import InputError
+        from nlo.gateway import ScriptedBackend
+
+        config = PromptConfig(
+            technique="infilling", instructions=INFILLING_INSTRUCTIONS
+        )
+        backends = [ScriptedBackend(["2| s"], model_id=m) for m in ("m", "n", "m")]
+        with pytest.raises(InputError, match="'m'"):
+            evaluate_corpus(corpus_of(1), {"infilling": config}, backends)
+
     def test_replay_miss_aborts(self, tmp_path):
         from nlo.errors import ReplayMissError
 
