@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, Settings, load_settings, make_backend
+from .config import _KEYS, ConfigError, Settings, load_settings, make_backend
 from .errors import BackendError, InputError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
 from .fewshots import load_fewshot_set, load_triage_examples
@@ -492,11 +492,16 @@ def _cmd_fixtures(args, settings: Settings) -> int:
         for key in store.keys():
             print(key)
         return EXIT_OK
+    valid, expected = _KEYS["temperature"]  # the rule nlo.yaml's temperature obeys
+    if not valid(args.temperature):
+        raise InputError(f"--temperature must be {expected}, not {args.temperature!r}")
+    # nlo builds no prompt holding "\r", so a prompt file keys as its LF form;
+    # a response replays as recorded, so it is kept byte for byte.
     prompt = user_prompt(args.system, read_text(args.prompt_file))
     request = GenerationRequest(prompt=prompt, temperature=args.temperature)
     key = request_key(args.backend_id, args.model, request)
     meta = _record_meta(args.backend_id, args.model, args.temperature)
-    store.put(key, read_text(args.response_file), meta=meta)
+    store.put(key, read_text(args.response_file, newline=""), meta=meta)
     print(key)
     return EXIT_OK
 

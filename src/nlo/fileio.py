@@ -24,10 +24,13 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def read_text(path: str | Path) -> str:
-    """``path`` decoded as UTF-8.  Bytes that are not UTF-8 raise ``OSError``
-    naming the file, like any other file that cannot be read."""
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """``path`` decoded as UTF-8, with ``\r\n`` and ``\r`` read as ``\n``
+    unless ``newline=""`` keeps every line ending as it is (as ``open`` does).
+    Bytes that are not UTF-8 raise ``OSError`` naming the file, like any other
+    file that cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text: {exc}") from exc

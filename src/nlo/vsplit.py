@@ -13,9 +13,12 @@ from __future__ import annotations
 import html as html_lib
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import DiffParseError, InputError, TopicParseError
 from .fanout import fan_out
@@ -55,8 +58,10 @@ class Hunk:
     lines: tuple[tuple[str, str], ...]  # (marker, text); marker: context|added|removed
 
     def __post_init__(self) -> None:
-        old = sum(1 for m, _ in self.lines if m in ("context", "removed"))
-        new = sum(1 for m, _ in self.lines if m in ("context", "added"))
+        markers = next(zip(*self.lines), ())
+        context = markers.count("context")
+        old = context + markers.count("removed")
+        new = context + markers.count("added")
         if old != self.old_len or new != self.new_len:
             raise ValueError(
                 f"hunk body ({old} old, {new} new lines) contradicts header "
@@ -68,6 +73,7 @@ class Hunk:
 
 
 _MARKER_CHAR = {"context": " ", "added": "+", "removed": "-"}
+_CHANGED_KINDS = frozenset(("added", "removed"))
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,12 @@ class FileDiff:
 
     def render_lines(self) -> list[str]:
         """The file's diff text, one entry per line."""
-        return [text for text, _ in self._kinds]
+        return list(self._rendered)
 
     @cached_property
     def _kinds(self) -> tuple[tuple[str, str], ...]:
         """(text, kind) pairs; kinds: file_header, hunk_header, context,
-        added, removed."""
+        added, removed.  ``parse_unified_diff`` fills this in as it parses."""
         out = [
             (f"--- {self.old_path}", "file_header"),
             (f"+++ {self.new_path}", "file_header"),
@@ -102,16 +108,27 @@ class FileDiff:
                 out.append((_MARKER_CHAR[marker] + text, marker))
         return tuple(out)
 
+    @cached_property
+    def _rendered(self) -> tuple[str, ...]:
+        return next(zip(*self._kinds))
+
+    @cached_property
+    def _numbered_lines(self) -> tuple[str, ...]:
+        """Every rendered line as ``f"{i:>3}|{line}"``, numbered from 1: the
+        prompt and the report windows share it."""
+        return tuple(_numbered(self._rendered))
+
+    @cached_property
+    def _changed(self) -> tuple[int, ...]:
+        is_changed = map(_CHANGED_KINDS.__contains__, map(itemgetter(1), self._kinds))
+        return tuple(compress(count(1), is_changed))
+
     def changed_positions(self) -> tuple[int, ...]:
         """1-based positions of added/removed lines within render_lines()."""
-        return tuple(
-            i
-            for i, (_, kind) in enumerate(self._kinds, start=1)
-            if kind in ("added", "removed")
-        )
+        return self._changed
 
     def text(self) -> str:
-        return "\n".join(self.render_lines())
+        return "\n".join(self._rendered)
 
 
 @dataclass(frozen=True)
@@ -183,10 +200,11 @@ def parse_unified_diff(text: str) -> tuple[FileDiff, ...]:
                 raise DiffParseError("'---' header not followed by '+++'", i + 1)
             new_path = lines[i][4:].split("\t")[0]
             i += 1
-            hunks, i = _parse_hunks(lines, i)
-            files.append(
-                FileDiff(old_path=old_path, new_path=new_path, hunks=tuple(hunks))
-            )
+            kinds = [(f"--- {old_path}", "file_header"), (f"+++ {new_path}", "file_header")]
+            hunks, i = _parse_hunks(lines, i, kinds)
+            filediff = FileDiff(old_path=old_path, new_path=new_path, hunks=tuple(hunks))
+            vars(filediff)["_kinds"] = tuple(kinds)  # what the cached property computes
+            files.append(filediff)
         elif not line.strip() or line.startswith(_SKIPPABLE):
             i += 1
         else:
@@ -194,9 +212,25 @@ def parse_unified_diff(text: str) -> tuple[FileDiff, ...]:
     return tuple(files)
 
 
-def _parse_hunks(lines: list[str], i: int) -> tuple[list[Hunk], int]:
+# A hunk body line by its first character: (kind, old lines, new lines) it
+# takes up; a None kind is a "\ No newline at end of file" remark.
+_BODY_LINE = {
+    "+": ("added", 0, 1),
+    "-": ("removed", 1, 0),
+    " ": ("context", 1, 1),
+    "": ("context", 1, 1),
+    "\\": (None, 0, 0),
+}
+
+
+def _parse_hunks(
+    lines: list[str], i: int, kinds: list[tuple[str, str]]
+) -> tuple[list[Hunk], int]:
+    """Parse the hunks from line ``i`` on, appending each rendered line with
+    its kind to ``kinds``; a body line renders as itself (" " when empty)."""
     hunks: list[Hunk] = []
     n = len(lines)
+    classify, render = _BODY_LINE.get, kinds.append
     while i < n and lines[i].startswith("@@"):
         match = _HUNK_HEADER.fullmatch(lines[i])
         if match is None:
@@ -206,41 +240,39 @@ def _parse_hunks(lines: list[str], i: int) -> tuple[list[Hunk], int]:
         new_start = int(match.group(3))
         new_len = int(match.group(4)) if match.group(4) is not None else 1
         i += 1
+        header_at = len(kinds)
+        render(None)  # the header, once the hunk is built
         body: list[tuple[str, str]] = []
-        seen_old = seen_new = 0
-        while seen_old < old_len or seen_new < new_len:
+        keep = body.append
+        old_left, new_left = old_len, new_len
+        while old_left > 0 or new_left > 0:
             if i >= n:
                 raise DiffParseError("diff ended inside a hunk", i)
             raw = lines[i]
-            if raw.startswith("\\"):  # "\ No newline at end of file"
-                i += 1
-                continue
-            if raw.startswith("+"):
-                body.append(("added", raw[1:]))
-                seen_new += 1
-            elif raw.startswith("-"):
-                body.append(("removed", raw[1:]))
-                seen_old += 1
-            elif raw.startswith(" ") or raw == "":
-                body.append(("context", raw[1:]))
-                seen_old += 1
-                seen_new += 1
-            else:
-                raise DiffParseError(f"unexpected hunk body line: {raw!r}", i + 1)
-            if seen_old > old_len or seen_new > new_len:
-                raise DiffParseError("hunk body contradicts its header counts", i + 1)
             i += 1
+            step = classify(raw[:1])
+            if step is None:
+                raise DiffParseError(f"unexpected hunk body line: {raw!r}", i)
+            kind, old_step, new_step = step
+            if kind is None:
+                continue
+            keep((kind, raw[1:]))
+            render((raw or " ", kind))
+            old_left -= old_step
+            new_left -= new_step
+            if old_left < 0 or new_left < 0:
+                raise DiffParseError("hunk body contradicts its header counts", i)
         if i < n and lines[i].startswith("\\"):  # after the hunk's last line
             i += 1
-        hunks.append(
-            Hunk(
-                old_start=old_start,
-                old_len=old_len,
-                new_start=new_start,
-                new_len=new_len,
-                lines=tuple(body),
-            )
+        hunk = Hunk(
+            old_start=old_start,
+            old_len=old_len,
+            new_start=new_start,
+            new_len=new_len,
+            lines=tuple(body),
         )
+        kinds[header_at] = (hunk.header(), "hunk_header")
+        hunks.append(hunk)
     if not hunks:
         raise DiffParseError("file diff contains no hunks", i + 1)
     return hunks, i
@@ -279,23 +311,17 @@ def apply_file_diff(old_lines: list[str], filediff: FileDiff) -> list[str]:
 
 def change_run_starts(filediff: FileDiff) -> tuple[int, ...]:
     """First line of each maximal run of added/removed lines."""
-    starts: list[int] = []
-    previous_changed = False
-    for i, (_, kind) in enumerate(filediff._kinds, start=1):
-        changed = kind in ("added", "removed")
-        if changed and not previous_changed:
-            starts.append(i)
-        previous_changed = changed
-    return tuple(starts)
+    changed = filediff.changed_positions()
+    return tuple(p for p, before in zip(changed, (-1, *changed)) if p != before + 1)
 
 
 def number_diff(filediff: FileDiff) -> str:
     """Prefix every diff line with ``N|`` and append change-start hints."""
-    numbered = "\n".join(_numbered(filediff.render_lines()))
+    numbered = "\n".join(filediff._numbered_lines)
     starts = change_run_starts(filediff)
     if not starts:
         return numbered
-    hint = "Change blocks start at lines: " + ", ".join(str(s) for s in starts)
+    hint = "Change blocks start at lines: " + ", ".join(map(str, starts))
     return f"{numbered}\n\n{hint}"
 
 
@@ -530,12 +556,13 @@ def assemble_split(
     counts: dict[int, int] = {t.index: 0 for t in topics}
     for filediff, sections in zip(cl.files, per_file_sections):
         ordered = [catch_all, *sorted(sections, key=lambda s: s.anchor)]
-        anchors = [s.anchor for s in ordered]
-        owned: list[list[int]] = [[] for _ in ordered]
-        for pos in filediff.changed_positions():
-            owned[bisect_right(anchors, pos) - 1].append(pos)
+        changed = filediff.changed_positions()
+        # The changed lines are ascending, so each section owns one slice of
+        # them: from its own anchor's cut up to the next section's.
+        cuts = [0, *(bisect_left(changed, s.anchor) for s in ordered[1:]), len(changed)]
+        owned = [changed[a:b] for a, b in zip(cuts, cuts[1:])]
         assigned = tuple(
-            Section(s.anchor, s.description, s.topic_index, tuple(lines))
+            Section(s.anchor, s.description, s.topic_index, lines)
             for s, lines in zip(ordered, owned)
             if lines or s is not catch_all
         )
@@ -592,34 +619,52 @@ SPLIT_SCHEMA_VERSION = 1
 
 
 def split_to_json(split: VirtualSplit, cl: ChangeList) -> str:
-    document = {
-        "version": SPLIT_SCHEMA_VERSION,
-        "description": cl.description,
-        "topics": [
-            {
-                "index": t.index,
-                "title": t.title,
-                "coverage": round(split.coverage_of(t.index), 6),
-            }
-            for t in split.topics
-        ],
-        "files": [
-            {
-                "path": fa.path,
-                "sections": [
-                    {
-                        "anchor": s.anchor,
-                        "description": s.description,
-                        "topic": s.topic_index,
-                        "changed_lines": list(s.changed_lines),
-                    }
-                    for s in fa.sections
-                ],
-            }
-            for fa in split.assignments
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The split document as ``json.dumps(document, indent=2, sort_keys=True)``
+    writes it, plus a final newline.  The document's shape is fixed, so it is
+    written directly: the indenting encoder is pure Python."""
+    string = encode_basestring_ascii
+    topics = [
+        "{\n"
+        f'      "coverage": {json.dumps(round(split.coverage_of(t.index), 6))},\n'
+        f'      "index": {t.index},\n'
+        f'      "title": {string(t.title)}\n'
+        "    }"
+        for t in split.topics
+    ]
+    files = []
+    for fa in split.assignments:
+        sections = [
+            "{\n"
+            f'          "anchor": {s.anchor},\n'
+            f'          "changed_lines": {_json_list([*map(str, s.changed_lines)], 12)},\n'
+            f'          "description": {string(s.description)},\n'
+            f'          "topic": {s.topic_index}\n'
+            "        }"
+            for s in fa.sections
+        ]
+        files.append(
+            "{\n"
+            f'      "path": {string(fa.path)},\n'
+            f'      "sections": {_json_list(sections, 8)}\n'
+            "    }"
+        )
+    return (
+        "{\n"
+        f'  "description": {string(cl.description)},\n'
+        f'  "files": {_json_list(files, 4)},\n'
+        f'  "topics": {_json_list(topics, 4)},\n'
+        f'  "version": {SPLIT_SCHEMA_VERSION}\n'
+        "}\n"
+    )
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """Encoded ``items`` as an indented JSON array whose items sit ``indent``
+    spaces in."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
 
 
 def split_from_json(text: str) -> VirtualSplit:
@@ -652,6 +697,7 @@ def render_split_report(split: VirtualSplit, cl: ChangeList) -> dict[str, str]:
 
 
 _CONTEXT_AROUND = 3
+_MUTED, _SHOWN = repeat(True), repeat(False)
 
 
 def _section_slices(split: VirtualSplit, cl: ChangeList) -> dict[int, list]:
@@ -660,16 +706,22 @@ def _section_slices(split: VirtualSplit, cl: ChangeList) -> dict[int, list]:
     files_by_path = {f.path: f for f in cl.files}
     slices: dict[int, list] = {}
     for assignment in split.assignments:
-        rendered = files_by_path[assignment.path].render_lines()
+        numbered = files_by_path[assignment.path]._numbered_lines
+        total = len(numbered)
         anchors = sorted(s.anchor for s in assignment.sections)
         for section in assignment.sections:
             start = max(section.anchor, 1)
             following = bisect_right(anchors, section.anchor)
-            end = anchors[following] - 1 if following < len(anchors) else len(rendered)
+            end = anchors[following] - 1 if following < len(anchors) else total
             low = max(1, start - _CONTEXT_AROUND)
-            high = min(len(rendered), end + _CONTEXT_AROUND)
-            numbered = _numbered(rendered[low - 1 : high], low)
-            lines = [(text, not start <= i <= end) for i, text in enumerate(numbered, low)]
+            high = min(total, end + _CONTEXT_AROUND)
+            # Lines low..start-1 and end+1..high are muted context; with
+            # anchors >= 0, end >= start - 1.
+            lines = [
+                *zip(numbered[low - 1 : start - 1], _MUTED),
+                *zip(numbered[start - 1 : end], _SHOWN),
+                *zip(numbered[end:high], _MUTED),
+            ]
             slices.setdefault(section.topic_index, []).append(
                 (assignment.path, section, lines)
             )
@@ -723,9 +775,12 @@ def _html_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
         )
         for path, section, lines in slices[topic.index]:
             parts.append(f"<p><code>{esc(path)}</code>: {esc(section.description)}</p>")
+            # One escape for the whole window: no diff line holds a "\n".
+            texts, flags = zip(*lines) if lines else ((), ())
+            escaped = esc("\n".join(texts)).split("\n")
             rendered = [
-                f"<span class='muted'>{esc(text)}</span>" if muted else esc(text)
-                for text, muted in lines
+                f"<span class='muted'>{text}</span>" if muted else text
+                for text, muted in zip(escaped, flags)
             ]
             parts.append("<pre>" + "\n".join(rendered) + "</pre>")
         parts.append("</details>")
