@@ -192,13 +192,7 @@ def _cmd_gen(args, settings: Settings) -> int:
     config = _prompt_configs(settings, [technique])[technique]
     backend = make_backend(settings)
     with _naming(args.file):
-        report = generate_outline(
-            unit,
-            config,
-            backend,
-            temperature=settings.temperature,
-            max_output=settings.max_output,
-        )
+        report = generate_outline(unit, config, backend)
     print(infill_text(report.outline))
     for issue in report.issues:
         print(f"issue[{issue.severity}] {issue.kind}: {issue.detail}", file=sys.stderr)
@@ -320,13 +314,7 @@ def _cmd_finish(args, settings: Settings) -> int:
     except ValueError as exc:  # a sidecar outline that no longer fits its code
         raise NloError(str(exc)) from exc
     backend = make_backend(settings)
-    result = finish_changes(
-        session,
-        backend,
-        path=args.file,
-        temperature=settings.temperature,
-        max_output=settings.max_output,
-    )
+    result = finish_changes(session, backend, path=args.file)
     if result.reasoning:
         print(result.reasoning, file=sys.stderr)
     print(result.diff)
@@ -357,13 +345,7 @@ def _cmd_split(args, settings: Settings) -> int:
     with _naming(name):
         cl = ChangeList(description=args.description, files=files)
         backend = make_backend(settings)
-        outcome = split_changelist(
-            cl,
-            backend,
-            max_workers=args.workers,
-            temperature=settings.temperature,
-            max_output=settings.max_output,
-        )
+        outcome = split_changelist(cl, backend, max_workers=args.workers)
     reports = render_split_report(outcome.split, cl)
     if args.json_out:
         write_text_atomic(args.json_out, reports["json"])
@@ -388,13 +370,7 @@ def _triage_options(sub: argparse.ArgumentParser) -> None:
 def _triage_record(path: Path, settings: Settings, backend, examples) -> dict:
     unit = _load_unit(str(path), settings)
     with _naming(path):
-        result = triage(
-            unit,
-            backend,
-            examples=examples,
-            temperature=settings.temperature,
-            max_output=settings.max_output,
-        )
+        result = triage(unit, backend, examples=examples)
     prediction = result.prediction
     return {
         "path": str(path),
@@ -413,10 +389,11 @@ def _cmd_triage(args, settings: Settings) -> int:
     examples = load_triage_examples(settings.triage_set)
     target = Path(args.path)
     if target.is_dir():
+        paths = [path for path in sorted(target.glob(args.glob)) if path.is_file()]
+        if not paths:
+            raise InputError(f"{target}: no file matches {args.glob!r}")
         histogram: dict[str, int] = {}
-        for path in sorted(target.glob(args.glob)):
-            if not path.is_file():
-                continue
+        for path in paths:
             record = _triage_record(path, settings, backend, examples)
             print(json.dumps(record, sort_keys=True))
             histogram[str(record["score"])] = histogram.get(str(record["score"]), 0) + 1
@@ -458,14 +435,7 @@ def _cmd_eval(args, settings: Settings) -> int:
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
     with _naming(args.corpus):
-        rows = evaluate_corpus(
-            corpus,
-            configs,
-            backends,
-            max_workers=args.workers,
-            temperature=settings.temperature,
-            max_output=settings.max_output,
-        )
+        rows = evaluate_corpus(corpus, configs, backends, max_workers=args.workers)
     print(render_eval_table(rows), end="")
     if args.json_out:
         write_text_atomic(args.json_out, eval_rows_to_json(rows))

@@ -159,9 +159,11 @@ def make_http_backend(settings: Settings) -> HttpBackend:
 
 
 def make_backend(settings: Settings) -> Backend:
+    """The backend ``settings`` select, carrying their ``temperature`` and
+    ``max_output`` for every request it is sent."""
     if settings.backend == "http":
-        return make_http_backend(settings)
-    if settings.backend == "scripted":
+        backend = make_http_backend(settings)
+    elif settings.backend == "scripted":
         if not settings.responses_file:
             raise ConfigError("scripted backend needs responses_file")
         path = settings.responses_file
@@ -171,14 +173,17 @@ def make_backend(settings: Settings) -> Backend:
             raise ConfigError(f"responses file {path}: not JSON: {exc}") from exc
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ConfigError(f"responses file {path} must hold a JSON list of strings")
-        return ScriptedBackend(responses, model_id=settings.model)
-    if settings.backend == "replay":
+        backend = ScriptedBackend(responses, model_id=settings.model)
+    elif settings.backend == "replay":
         store = FixtureStore(settings.fixtures)
         inner = make_http_backend(settings) if settings.record else None
-        return ReplayBackend(
+        backend = ReplayBackend(
             store,
             backend_id=settings.backend_id,
             model_id=settings.model,
             record_from=inner,
         )
-    raise ConfigError(f"unknown backend kind: {settings.backend!r}")
+    else:
+        raise ConfigError(f"unknown backend kind: {settings.backend!r}")
+    backend.temperature, backend.max_output = settings.temperature, settings.max_output
+    return backend

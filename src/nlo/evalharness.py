@@ -45,15 +45,13 @@ def evaluate_corpus(
     configs: dict[str, PromptConfig],
     backends: list[Backend],
     max_workers: int = 1,
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> list[EvalRow]:
     """Run every (unit, technique, backend) combination and tabulate.
 
     ``configs`` maps technique name to the prompt config to use for it.
     Each (technique, unit) job builds one prompt and sends it to every
-    backend in order, with ``temperature`` and ``max_output``; ``max_workers``
-    threads run the jobs.
+    backend in order, with that backend's ``temperature`` and ``max_output``;
+    ``max_workers`` threads run the jobs.
     Rows come back sorted by backend id then technique; a model id given
     twice is an :class:`InputError`, as its rows would merge.
     """
@@ -75,10 +73,7 @@ def evaluate_corpus(
         _technique, config, unit = job
         prompt = build_prompt(unit, config)
         parse = _parser(config.technique)
-        return [
-            parse(_ask(prompt, backend, temperature, max_output), unit)
-            for backend in backends
-        ]
+        return [parse(_ask(prompt, backend), unit) for backend in backends]
 
     results = fan_out(run, jobs, max_workers)
 

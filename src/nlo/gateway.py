@@ -116,8 +116,18 @@ def request_key(backend_id: str, model_id: str, request: GenerationRequest) -> s
 
 
 class Backend(Protocol):
+    """A model behind one ``complete`` call.
+
+    ``temperature`` and ``max_output`` are the settings that every request
+    sent through :func:`_ask` carries; the shipped backends default them to
+    ``0.0`` and ``None``, and :func:`nlo.config.make_backend` sets them from
+    the configuration.
+    """
+
     backend_id: str
     model_id: str
+    temperature: float
+    max_output: int | None
 
     def complete(self, request: GenerationRequest) -> str: ...
 
@@ -132,9 +142,9 @@ def complete(request: GenerationRequest, backend: Backend) -> str:
     return text
 
 
-def _ask(prompt: ChatPrompt, backend: Backend, temperature: float, max_output: int | None) -> str:
-    """The pipelines' one request path: send ``prompt`` with these settings."""
-    request = GenerationRequest(prompt=prompt, temperature=temperature, max_output=max_output)
+def _ask(prompt: ChatPrompt, backend: Backend) -> str:
+    """The pipelines' one request path: send ``prompt`` with the backend's settings."""
+    request = GenerationRequest(prompt, backend.temperature, backend.max_output)
     return complete(request, backend)
 
 
@@ -142,6 +152,7 @@ class ScriptedBackend:
     """Serves a fixed queue of responses, in order.  Thread-safe."""
 
     backend_id = "scripted"
+    temperature, max_output = 0.0, None
 
     def __init__(self, responses, model_id: str = "scripted"):
         self.model_id = model_id
@@ -163,6 +174,7 @@ class CallableBackend:
     """
 
     backend_id = "callable"
+    temperature, max_output = 0.0, None
 
     def __init__(self, fn: Callable[[str], str], model_id: str = "callable"):
         self.model_id = model_id
@@ -245,11 +257,13 @@ class ReplayBackend:
     """Replays recorded responses by request hash.
 
     In strict mode (no inner backend) an unseen request raises
-    :class:`ReplayMissError`.  With ``record_from`` set, misses are forwarded
-    to the inner backend and the response is recorded.  The backend presents
-    the identity being replayed (``backend_id``/``model_id``), not its own,
-    so keys match between recording and replay.
+    :class:`ReplayMissError`.  With ``record_from`` set, a miss is forwarded,
+    settings included, to the inner backend and the response is recorded.
+    The backend presents the identity being replayed (``backend_id``/
+    ``model_id``), not its own, so keys match between recording and replay.
     """
+
+    temperature, max_output = 0.0, None
 
     def __init__(
         self,
@@ -308,6 +322,7 @@ class HttpBackend:
     """
 
     backend_id = "http"
+    temperature, max_output = 0.0, None
 
     def __init__(self, config: HttpBackendConfig, post: Callable | None = None):
         self.config = config

@@ -568,11 +568,9 @@ def generate_outline(
     unit: SourceUnit,
     config: PromptConfig,
     backend: Backend,
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> ParseReport:
     """Prompt, complete, and parse with the technique-matched parser."""
-    response = _ask(build_prompt(unit, config), backend, temperature, max_output)
+    response = _ask(build_prompt(unit, config), backend)
     return _parser(config.technique)(response, unit)
 
 

@@ -117,12 +117,10 @@ def finish_changes(
     session: EditSession,
     backend: Backend,
     path: str = "function",
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> FinishResult:
     """Run one finish-changes query.  The diff is data; applying it is a
     separate, explicit action."""
-    response = _ask(build_finish_prompt(session), backend, temperature, max_output)
+    response = _ask(build_finish_prompt(session), backend)
     reasoning, new_unit, new_outline = parse_finish_response(
         response, session.current_unit.profile
     )

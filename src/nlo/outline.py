@@ -64,7 +64,7 @@ class Outline:
 class Violation:
     """One reason an outline does not fit a unit.  Violations are data."""
 
-    kind: str  # out_of_range|blank_line|docstring|in_string|not_increasing|empty_text
+    kind: str  # out_of_range|blank_line|docstring|in_string|continuation|not_increasing|empty_text
     statement_index: int  # 0-based index into outline.statements
     message: str
 
@@ -83,8 +83,9 @@ def validate(outline: Outline, unit: SourceUnit) -> list[Violation]:
     """Check an outline against a unit.  An empty list means valid.
 
     Violations: anchor out of range, anchor at a blank line, anchor inside
-    the docstring or else on a line that begins inside a string literal,
-    anchors not strictly increasing, empty statement text.
+    the docstring or else on a line that begins inside a string literal or
+    else continues the line above through a trailing backslash, anchors not
+    strictly increasing, empty statement text.
     """
     violations: list[Violation] = []
     for i, stmt in enumerate(outline.statements):
@@ -92,14 +93,17 @@ def validate(outline: Outline, unit: SourceUnit) -> list[Violation]:
         if not 1 <= anchor <= len(unit):
             found.append(("out_of_range", f"outside 1..{len(unit)}"))
         else:
-            span = unit._line_model.docstring
+            model = unit._line_model
+            span = model.docstring
             if unit.classify(anchor) is LineClass.BLANK:
                 found.append(("blank_line", "is a blank line"))
             if span is not None and span[0] <= anchor <= span[1]:
                 where = f"lines {span[0]}..{span[1]}"
                 found.append(("docstring", f"is inside the docstring ({where})"))
-            elif unit._line_model.in_string[anchor - 1]:
+            elif model.in_string[anchor - 1]:
                 found.append(("in_string", "begins inside a string literal"))
+            elif model.backslash[anchor - 1]:
+                found.append(("continuation", "follows a line ending in a backslash"))
         if i > 0 and anchor <= outline.statements[i - 1].anchor:
             previous = outline.statements[i - 1].anchor
             found.append(("not_increasing", f"does not increase past {previous}"))
@@ -231,14 +235,15 @@ def _joined(anchor: int, run: list[tuple[str, bool]]) -> OutlineStatement:
 
 
 def _line_mapping(old_unit: SourceUnit, new_unit: SourceUnit) -> dict[int, int]:
-    """Map 1-based old line indices to new ones for aligned (unchanged) lines."""
+    """Map 1-based old line indices to new ones for aligned lines: unchanged
+    lines, and edited lines paired by position within each replaced run."""
     matcher = difflib.SequenceMatcher(
         a=old_unit.lines, b=new_unit.lines, autojunk=False
     )
     mapping: dict[int, int] = {}
-    for block in matcher.get_matching_blocks():
-        for offset in range(block.size):
-            mapping[block.a + offset + 1] = block.b + offset + 1
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag in ("equal", "replace"):  # zip stops at the shorter side
+            mapping.update(zip(range(i1 + 1, i2 + 1), range(j1 + 1, j2 + 1)))
     return mapping
 
 
@@ -247,8 +252,9 @@ def remap_anchors(
 ) -> tuple[Outline, list[OutlineStatement]]:
     """Carry anchors from ``old_unit`` onto ``new_unit``.
 
-    Lines are aligned by a longest-common-subsequence style matching;
-    statements anchored on deleted lines, or on lines where an anchor is no
+    Lines are aligned by a longest-common-subsequence style matching, and
+    an edited line keeps its place in a run of replaced lines; statements
+    anchored on deleted lines, or on lines where an anchor is no
     longer valid (say, now inside a string literal), are dropped and
     returned as stale.
     """

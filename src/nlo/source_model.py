@@ -184,8 +184,8 @@ def number_lines(unit: SourceUnit) -> str:
 _prefixes: tuple[str, ...] = ()  # "  1|", "  2|", ...: built on first use
 
 
-def _numbered(lines: Sequence[str], first: int = 1) -> Iterator[str]:
-    """``f"{i:>3}|{line}"`` for each of ``lines``, numbered from ``first``.
+def _numbered(lines: Sequence[str]) -> Iterator[str]:
+    """``f"{i:>3}|{line}"`` for each of ``lines``, numbered from 1.
 
     The prefixes come from one table, built on first use and extended, at
     least twofold, when a unit or diff needs more; each prefix is formatted
@@ -193,13 +193,13 @@ def _numbered(lines: Sequence[str], first: int = 1) -> Iterator[str]:
     reading the old one is unaffected.
     """
     global _prefixes
-    prefixes, last = _prefixes, first - 1 + len(lines)
-    if len(prefixes) < last:
-        size = max(last, 2 * len(prefixes))
+    prefixes = _prefixes
+    if len(prefixes) < len(lines):
+        size = max(len(lines), 2 * len(prefixes))
         prefixes = _prefixes = prefixes + tuple(
             f"{i:>3}|" for i in range(len(prefixes) + 1, size + 1)
         )
-    return map(str.__add__, prefixes[first - 1 : last], lines)
+    return map(str.__add__, prefixes, lines)
 
 
 def indentation(line: str) -> int:

@@ -165,12 +165,10 @@ def triage(
     unit: SourceUnit,
     backend: Backend,
     examples: tuple[tuple[SourceUnit, str], ...] | None = None,
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> TriageResult:
     """Run one triage query and flag score/outline inconsistency."""
     if examples is None:
         examples = load_triage_examples()
-    response = _ask(build_triage_prompt(unit, examples), backend, temperature, max_output)
+    response = _ask(build_triage_prompt(unit, examples), backend)
     prediction = parse_triage(response)
     return TriageResult(prediction=prediction, consistent=prediction.consistent())

@@ -436,15 +436,10 @@ def build_topics_prompt(cl: ChangeList) -> ChatPrompt:
     )
 
 
-def generate_topics(
-    cl: ChangeList,
-    backend: Backend,
-    temperature: float = 0.0,
-    max_output: int | None = None,
-) -> tuple[Topic, ...]:
+def generate_topics(cl: ChangeList, backend: Backend) -> tuple[Topic, ...]:
     if not cl.files:
         raise InputError("change list has no files")
-    response = _ask(build_topics_prompt(cl), backend, temperature, max_output)
+    response = _ask(build_topics_prompt(cl), backend)
     return parse_topics(response)
 
 
@@ -526,13 +521,11 @@ def split_file(
     filediff: FileDiff,
     topics: tuple[Topic, ...],
     backend: Backend,
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> tuple[tuple[Section, ...], tuple[ParseIssue, ...]]:
     if not topics:
         raise ValueError("topics must be non-empty")
     prompt = build_sections_prompt(description, filediff, topics)
-    response = _ask(prompt, backend, temperature, max_output)
+    response = _ask(prompt, backend)
     return parse_sections(response, filediff, topics)
 
 
@@ -588,20 +581,16 @@ def split_changelist(
     cl: ChangeList,
     backend: Backend,
     max_workers: int = 1,
-    temperature: float = 0.0,
-    max_output: int | None = None,
 ) -> SplitOutcome:
     """Full pipeline: topics, per-file sections (fanned out), assembly.
 
     File sectioning may run concurrently; results are merged in file order,
     so the outcome does not depend on scheduling.
     """
-    topics = generate_topics(cl, backend, temperature, max_output)
+    topics = generate_topics(cl, backend)
 
     def one(filediff: FileDiff):
-        return split_file(
-            cl.description, filediff, topics, backend, temperature, max_output
-        )
+        return split_file(cl.description, filediff, topics, backend)
 
     results = fan_out(one, cl.files, max_workers)
     sections = [sections for sections, _ in results]

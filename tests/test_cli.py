@@ -105,6 +105,18 @@ class TestGen:
         assert code == 0
         assert "#* Add the two numbers." in sample_file.read_text()
 
+    def test_gen_in_place_refuses_an_anchor_on_a_continued_line(self, capsys, tmp_path):
+        source = tmp_path / "c.py"
+        source.write_bytes(b"def f(a):\n    x = a + \\\n        1\n    return x\n")
+        before = source.read_bytes()
+        responses = tmp_path / "r.json"
+        responses.write_text(json.dumps(["3| Add one."]), encoding="utf-8")
+        argv = ["gen", str(source), "--in-place", "--responses-file", str(responses)]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "anchor 3 follows a line ending in a backslash" in err
+        assert source.read_bytes() == before
+
     def test_gen_major_issue_exits_2(self, capsys, sample_file, store_dir):
         self.record_gen(store_dir, sample_file, response="99| way out of bounds")
         code, _, err = run(
@@ -990,6 +1002,23 @@ class TestSplit:
         ]
         assert run(capsys, argv) == run(capsys, argv)
 
+    def test_split_repairs_a_major_section_issue_and_exits_0(self, capsys, tmp_path):
+        diff_path = tmp_path / "one.diff"
+        diff_path.write_text(ONE_FILE_DIFF, encoding="utf-8")
+        responses = tmp_path / "r.json"
+        responses.write_text(
+            json.dumps(["Topics:\n1. Main work", "99999999999999999999999|1| x"]),
+            encoding="utf-8",
+        )
+        argv = ["split", str(diff_path), "--description", "d"]
+        code, out, err = run(capsys, [*argv, "--responses-file", str(responses)])
+        assert code == 0
+        assert "2. Other changes (100.0% of changed lines)" in out
+        assert err == (
+            "issue[major] x.py: line_number_out_of_bounds: "
+            "line number 99999999999999999999999 outside 1..5\n"
+        )
+
     def test_split_reads_the_diff_from_stdin(self, capsys, tmp_path, store_dir, monkeypatch):
         diff_path = self.seed_split(tmp_path, store_dir)
         argv = ["--description", "demo change", "--fixtures", str(store_dir)]
@@ -1074,6 +1103,15 @@ class TestTriage:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[-1]) == {"score_histogram": {"2": 2}}
+
+    def test_directory_with_no_matching_file_exits_1(self, capsys, tmp_path, store_dir):
+        directory = tmp_path / "functions"
+        directory.mkdir()
+        (directory / "notes.txt").write_text("not a function\n", encoding="utf-8")
+        argv = ["triage", str(directory), "--glob", "*.java", "--fixtures", str(store_dir)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"nlo: {directory}: no file matches '*.java'\n"
 
     def test_triage_twice_identical(self, capsys, tmp_path, store_dir):
         path = tmp_path / "fn.java"
@@ -1160,6 +1198,88 @@ class TestEval:
         code, out, err = run(capsys, argv)
         assert code == 0, err
         assert "1.00" in out
+
+
+def seed_gen(tmp_path):
+    """Each seed writes a command's inputs and returns its argv and the
+    (prompt, response) pairs of the model calls it makes, in order."""
+    path = tmp_path / "add.py"
+    path.write_text(SAMPLE, encoding="utf-8")
+    prompt = build_prompt(SourceUnit.from_text(SAMPLE), default_config())
+    return ["gen", str(path)], [(prompt, "2| Add the two numbers.")]
+
+
+def seed_finish(tmp_path):
+    path = tmp_path / "add.py"
+    path.write_text(SAMPLE, encoding="utf-8")
+    unit = SourceUnit.from_text(SAMPLE)
+    outline = Outline.of(OutlineStatement(2, "Add the two numbers."))
+    sidecar_write(unit, outline, path)
+    session = EditSession(
+        old_unit=unit, old_outline=outline, current_unit=unit, current_outline=outline
+    )
+    annotated = render_interleaved(unit, outline).text()
+    response = f"No changes needed.\n```\n{annotated}\n```"
+    return ["finish", str(path)], [(build_finish_prompt(session), response)]
+
+
+def seed_split(tmp_path):
+    path = tmp_path / "cl.diff"
+    path.write_text(SPLIT_DIFF, encoding="utf-8")
+    cl = ChangeList(description="demo change", files=parse_unified_diff(SPLIT_DIFF))
+    topics_response = "Topics:\n1. Main work\n2. Other changes"
+    topics = parse_topics(topics_response)
+    calls = [(build_topics_prompt(cl), topics_response)]
+    for filediff, response in zip(cl.files, ["6|1| Insert the new line", "4|2| Uppercase"]):
+        calls.append((build_sections_prompt(cl.description, filediff, topics), response))
+    return ["split", str(path), "--description", "demo change"], calls
+
+
+def seed_triage(tmp_path):
+    from nlo.source_model import C_LIKE_PROFILE
+
+    path = tmp_path / "fn.java"
+    code = 'public void a(Context p1) {\n  this.z9.log(p1.getDeviceId());\n}\n'
+    path.write_text(code, encoding="utf-8")
+    unit = SourceUnit.from_text(code, profile=C_LIKE_PROFILE)
+    prompt = build_triage_prompt(unit, load_triage_examples("default"))
+    return ["triage", str(path)], [(prompt, TRIAGE_RESPONSE)]
+
+
+SEEDS = {"gen": seed_gen, "finish": seed_finish, "split": seed_split, "triage": seed_triage}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDS))
+class TestConfiguredRequestSettings:
+    """Every model call a command makes carries nlo.yaml's settings."""
+
+    def test_requests_carry_the_configured_temperature(self, capsys, tmp_path, command):
+        argv, calls = SEEDS[command](tmp_path)
+        store_dir = tmp_path / "fixtures"
+        backend = ReplayBackend(FixtureStore(store_dir), model_id="default")
+        for prompt, response in calls:
+            key = backend.key_for(GenerationRequest(prompt=prompt, temperature=0.5))
+            FixtureStore(store_dir).put(key, response)
+        config = tmp_path / "nlo.yaml"
+        config.write_text("temperature: 0.5\n", encoding="utf-8")
+        argv += ["--fixtures", str(store_dir)]
+        code, _, err = run(capsys, ["--config", str(config), *argv])
+        assert code == 0, err
+        # The store holds only keys at 0.5, so at the default temperature
+        # the first call already misses.
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "no recorded response" in err, err
+
+    def test_responses_are_held_to_the_configured_budget(self, capsys, tmp_path, command):
+        argv, calls = SEEDS[command](tmp_path)
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps([r for _, r in calls]), encoding="utf-8")
+        config = tmp_path / "nlo.yaml"
+        config.write_text("max_output: 3\n", encoding="utf-8")
+        argv += ["--responses-file", str(responses)]
+        code, _, err = run(capsys, ["--config", str(config), *argv])
+        assert code == 3
+        assert "exceeds budget 3" in err
 
 
 class TestFixturesCommand:

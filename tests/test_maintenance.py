@@ -131,6 +131,16 @@ class TestFinishChanges:
         assert user_text.count("#* Read the inventory file.") == 2
         assert "old version" in user_text and "current version" in user_text
 
+    def test_prompt_keeps_the_statement_of_an_edited_anchor_line(self):
+        old_unit = SourceUnit.from_text("def f(x):\n    y = x + 1\n    return y")
+        current_unit = SourceUnit.from_text("def f(x):\n    y = x + 2\n    return y")
+        old_outline = Outline.of(OutlineStatement(2, "Shift x by one."))
+        current_outline, stale = remap_anchors(old_outline, old_unit, current_unit)
+        session = EditSession(old_unit, old_outline, current_unit, current_outline)
+        user_text = build_finish_prompt(session).turns[0][1]
+        assert stale == []
+        assert "    #* Shift x by one.\n    y = x + 2" in user_text
+
     def test_echo_backend_is_fixed_point(self):
         session = noop_session()
         annotated = render_interleaved(

@@ -11,7 +11,7 @@ from nlo.outline import (
     render_standalone,
     validate,
 )
-from nlo.source_model import SourceUnit
+from nlo.source_model import C_LIKE_PROFILE, SourceUnit
 
 from conftest import TOUR_ANNOTATED, TOUR_STATEMENTS
 
@@ -55,6 +55,19 @@ class TestValidate:
 
     def test_empty_outline_is_valid(self, tour_unit):
         assert validate(Outline(), tour_unit) == []
+
+    def test_backslash_continued_line_anchor(self):
+        unit = SourceUnit.from_text("def f(a):\n    x = a + \\\n        1\n    return x\n")
+        violations = validate(outline_of((3, "Add one.")), unit)
+        assert [v.kind for v in violations] == ["continuation"]
+
+    def test_c_like_macro_continuation_anchor(self):
+        unit = SourceUnit.from_text(
+            "#define SQ(x) \\\n  ((x) * (x))\nint f(int a) {\n  return SQ(a);\n}\n",
+            profile=C_LIKE_PROFILE,
+        )
+        assert [v.kind for v in validate(outline_of((2, "Square.")), unit)] == ["continuation"]
+        assert validate(outline_of((1, "Square."), (3, "Use it.")), unit) == []
 
 
 class TestRenderInterleaved:
@@ -181,6 +194,12 @@ class TestExtract:
             extract(unit)
 
 
+# One anchor line edited in place: ``y = x + 1`` becomes ``y = x + 2``.
+EDIT_OLD = "def f(x):\n    y = x + 1\n    return y\n"
+EDIT_NEW = "def f(x):\n    y = x + 2\n    return y\n"
+EDIT_OUTLINE = outline_of((2, "Shift x by one."))
+
+
 class TestRemapAnchors:
     def test_identity(self, tour_unit, tour_outline):
         remapped, stale = remap_anchors(tour_outline, tour_unit, tour_unit)
@@ -206,11 +225,23 @@ class TestRemapAnchors:
         ]
         assert len(remapped) == 5
 
+    def test_edited_anchor_line_keeps_its_statement(self):
+        old_unit = SourceUnit.from_text(EDIT_OLD)
+        new_unit = SourceUnit.from_text(EDIT_NEW)
+        remapped, stale = remap_anchors(EDIT_OUTLINE, old_unit, new_unit)
+        assert stale == []
+        assert remapped == EDIT_OUTLINE
+
 
 class TestDiffOutlines:
     def test_self_diff_is_empty(self, tour_unit, tour_outline):
         diff = diff_outlines(tour_outline, tour_outline, tour_unit, tour_unit)
         assert diff.is_empty()
+
+    def test_edited_anchor_line_is_no_outline_change(self):
+        old_unit = SourceUnit.from_text(EDIT_OLD)
+        new_unit = SourceUnit.from_text(EDIT_NEW)
+        assert diff_outlines(EDIT_OUTLINE, EDIT_OUTLINE, old_unit, new_unit).is_empty()
 
     def test_changed_wording_at_same_section(self):
         unit = SourceUnit.from_text(
