@@ -120,40 +120,111 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The ``nlo`` parser with every command's subparser, or only ``command``'s."""
+def build_parser() -> _Parser:
+    """The ``nlo`` parser with every command's subparser."""
     parser = _Parser(prog="nlo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nlo {__version__}")
     parser.add_argument("--config", help="path to a YAML config file")
-    # With one subparser declared, the metavar keeps the usage line the full
-    # tree prints.  The full tree leaves it unset: argparse names the argument
-    # by its metavar in "required" and "invalid choice" errors.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    commands = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, declare, _run) in _COMMANDS.items():
-        if command in (None, name):
-            declare(commands.add_parser(name, help=help_text))
+        declare(commands.add_parser(name, help=help_text))
     return parser
 
 
-def _invoked_command(argv: list[str]) -> str | None:
-    """The command of an argv shaped ``[--config V | --config=V] NAME ...``
-    with ``V`` not starting with ``-``; None for any other shape (help,
-    version, abbreviations, ``--``, a missing or unknown command), which then
-    parses against the full tree."""
-    rest = argv
-    if rest and rest[0] == "--config":
-        rest = rest[2:] if len(rest) > 1 and not rest[1].startswith("-") else []
+class _Declared:
+    """Collects the ``add_argument`` calls of a command's ``_*_options``
+    function, which declares to it as it does to its argparse subparser."""
+
+    def __init__(self):
+        self.options: dict[str, dict] = {}  # flag -> add_argument kwargs
+        self.positionals: list[dict] = []
+
+    def add_argument(self, name: str, **kwargs) -> None:
+        if name.startswith("-"):
+            self.options[name] = {"dest": name.lstrip("-").replace("-", "_"), **kwargs}
+        else:
+            self.positionals.append({"dest": name, **kwargs})
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the full parser returns for a plain ``argv``, read
+    without building a parser; None for any other argv.
+
+    Plain is an optional leading ``--config V`` or ``--config=V``, a command
+    other than ``fixtures``, then only that command's positionals and exact
+    declared long flags (``--name value``, ``--name=value``, a bare
+    ``store_true`` flag), with no value or positional starting with ``-``,
+    and every type, choice, required option and positional count satisfied.
+    Help, ``--version``, abbreviations, ``--`` and every argv argparse would
+    refuse give None, so argparse alone writes help, usage and errors."""
+    config, rest = None, argv
+    if len(rest) > 1 and rest[0] == "--config":
+        config, rest = rest[1], rest[2:]
     elif rest and rest[0].startswith("--config="):
-        rest = rest[1:] if not rest[0][len("--config="):].startswith("-") else []
-    return rest[0] if rest and rest[0] in _COMMANDS else None
+        config, rest = rest[0][len("--config=") :], rest[1:]
+    if config is not None and config.startswith("-"):
+        return None
+    if not rest or rest[0] not in _COMMANDS or rest[0] == "fixtures":
+        return None
+    declared = _Declared()
+    _COMMANDS[rest[0]][1](declared)
+    values: dict = {}
+    positionals: list[str] = []
+    args = iter(rest[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        flag, equals, text = arg.partition("=")
+        spec = declared.options.get(flag)
+        if spec is None or "nargs" in spec:
+            return None
+        action = spec.get("action")
+        if action == "store_true":
+            if equals:
+                return None
+            values[spec["dest"]] = True
+            continue
+        if action not in (None, "append"):
+            return None
+        if not equals:
+            text = next(args, "-")  # a missing value refuses like a flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if action == "append":
+            value = [*values.get(spec["dest"], ()), value]
+        values[spec["dest"]] = value
+    for spec in declared.options.values():
+        if spec["dest"] not in values:
+            if spec.get("required"):
+                return None
+            switch = spec.get("action") == "store_true"
+            values[spec["dest"]] = spec.get("default", False if switch else None)
+    for spec in declared.positionals:
+        nargs = spec.get("nargs")
+        if positionals and nargs in (None, "?"):
+            values[spec["dest"]] = positionals.pop(0)
+        elif nargs == "?":
+            values[spec["dest"]] = spec.get("default")
+        else:
+            return None
+    if positionals:
+        return None
+    return argparse.Namespace(config=config, command=rest[0], **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(_invoked_command(argv))
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         settings = load_settings(args.config)
         settings = _apply_overrides(settings, args)

@@ -109,7 +109,11 @@ def load_settings(path: str | Path | None = None) -> Settings:
         if not candidate.exists():
             return settings
         path = candidate
-    raw = yaml.safe_load(read_text(path)) or {}
+    try:
+        raw = yaml.safe_load(read_text(path)) or {}
+    except yaml.YAMLError as exc:
+        detail = " ".join(str(exc).split())  # PyYAML's message spans lines
+        raise ConfigError(f"config file {path} is not valid YAML: {detail}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     _check(raw, _KEYS)

@@ -10,7 +10,6 @@ under the reserved final topic "Other changes".
 
 from __future__ import annotations
 
-import html as html_lib
 import json
 import re
 from bisect import bisect_left, bisect_right
@@ -739,19 +738,29 @@ def _terminal_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
     return "\n".join(out) + "\n"
 
 
+def _escape(text: str) -> str:
+    """``html.escape(text)``, without importing ``html`` and its entity table."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+        .replace("'", "&#x27;")
+    )
+
+
 def _html_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
-    esc = html_lib.escape
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'><title>Virtual split</title>",
         "<style>body{font-family:sans-serif} pre{background:#f6f6f6;padding:8px}"
         " .muted{color:#999}</style></head><body>",
-        f"<h1>Virtual split: {esc(cl.description)}</h1>",
+        f"<h1>Virtual split: {_escape(cl.description)}</h1>",
         "<ol>",
     ]
     for topic in split.topics:
         parts.append(
-            f"<li>{esc(topic.title)} "
+            f"<li>{_escape(topic.title)} "
             f"({split.coverage_of(topic.index) * 100:.1f}% of changed lines)</li>"
         )
     parts.append("</ol>")
@@ -759,14 +768,14 @@ def _html_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
         if topic.index not in slices:
             continue
         parts.append(
-            f"<details open><summary>{topic.index}. {esc(topic.title)} "
+            f"<details open><summary>{topic.index}. {_escape(topic.title)} "
             f"({split.coverage_of(topic.index) * 100:.1f}%)</summary>"
         )
         for path, section, lines in slices[topic.index]:
-            parts.append(f"<p><code>{esc(path)}</code>: {esc(section.description)}</p>")
+            parts.append(f"<p><code>{_escape(path)}</code>: {_escape(section.description)}</p>")
             # One escape for the whole window: no diff line holds a "\n".
             texts, flags = zip(*lines) if lines else ((), ())
-            escaped = esc("\n".join(texts)).split("\n")
+            escaped = _escape("\n".join(texts)).split("\n")
             rendered = [
                 f"<span class='muted'>{text}</span>" if muted else text
                 for text, muted in zip(escaped, flags)

@@ -1,9 +1,18 @@
 """Shared test fixtures: the worked tour example and small helpers."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from nlo.outline import Outline, OutlineStatement
 from nlo.source_model import PYTHON_PROFILE, SourceUnit
+
+# CI (GitHub Actions sets CI) runs every property test derandomized, so a
+# failure on either matrix Python reproduces exactly; local runs stay random.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # A 16-line function used throughout: a nearest-neighbor tour construction.
 TOUR_CODE = """\

@@ -126,6 +126,18 @@ class TestLoadSettings:
 
     @pytest.mark.parametrize(
         "text",
+        ["http: [unclosed\n", "model: a: b\n", "model: 'open\n", "\t- tab\n"],
+    )
+    def test_malformed_yaml_exits_1_with_one_line(self, capsys, tmp_path, text):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["--config", str(config), "check", "a.py"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nlo: config error: config file {config} is not valid YAML: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text",
         [
             "max_output: -1\n",
             "max_output: 0\n",
