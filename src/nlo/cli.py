@@ -18,6 +18,7 @@ from . import __version__
 from .config import _KEYS, ConfigError, Settings, load_settings, make_backend
 from .errors import BackendError, InputError, NloError
 from .evalharness import evaluate_corpus, eval_rows_to_json, render_eval_table
+from .fanout import fan_out_iter
 from .fewshots import load_fewshot_set, load_triage_examples
 from .fileio import read_text, write_text_atomic
 from .gateway import FixtureStore, GenerationRequest, _record_meta, request_key, user_prompt
@@ -118,6 +119,22 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
         dest="responses_file",
         help="JSON list of scripted responses (implies --backend scripted)",
     )
+
+
+def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--workers",
+        type=int,
+        help="model calls in flight at once (default: 4 for an HTTP model, "
+        "recording included; else 1)",
+    )
+
+
+def _workers(args, backends) -> int:
+    """``--workers``, or by default as many calls as every backend takes at once."""
+    if args.workers is not None:
+        return args.workers
+    return min(backend.in_flight for backend in backends)
 
 
 def build_parser() -> _Parser:
@@ -403,7 +420,7 @@ def _split_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--description", required=True)
     sub.add_argument("--json", dest="json_out", help="write the split JSON here")
     sub.add_argument("--html", dest="html_out", help="write the static HTML here")
-    sub.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(sub)
     _add_backend_flags(sub)
 
 
@@ -416,7 +433,7 @@ def _cmd_split(args, settings: Settings) -> int:
     with _naming(name):
         cl = ChangeList(description=args.description, files=files)
         backend = make_backend(settings)
-        outcome = split_changelist(cl, backend, max_workers=args.workers)
+        outcome = split_changelist(cl, backend, max_workers=_workers(args, [backend]))
     reports = render_split_report(outcome.split, cl)
     if args.json_out:
         write_text_atomic(args.json_out, reports["json"])
@@ -435,6 +452,7 @@ def _cmd_split(args, settings: Settings) -> int:
 def _triage_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("path", help="a function file, or a directory of them")
     sub.add_argument("--glob", default="*", help="pattern for directory mode")
+    _add_workers_flag(sub)
     _add_backend_flags(sub)
 
 
@@ -464,8 +482,13 @@ def _cmd_triage(args, settings: Settings) -> int:
         if not paths:
             raise InputError(f"{target}: no file matches {args.glob!r}")
         histogram: dict[str, int] = {}
-        for path in paths:
-            record = _triage_record(path, settings, backend, examples)
+
+        def one(path: Path) -> dict:
+            return _triage_record(path, settings, backend, examples)
+
+        # Each record prints once it and every earlier one are done, so the
+        # output, and where a failure cuts it, is the sequential run's.
+        for record in fan_out_iter(one, paths, _workers(args, [backend])):
             print(json.dumps(record, sort_keys=True))
             histogram[str(record["score"])] = histogram.get(str(record["score"]), 0) + 1
         print(json.dumps({"score_histogram": histogram}, sort_keys=True))
@@ -490,7 +513,7 @@ def _eval_options(sub: argparse.ArgumentParser) -> None:
         help="repeatable; each model evaluated against the same store",
     )
     sub.add_argument("--json", dest="json_out", help="write rows as JSON here")
-    sub.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(sub)
     _add_backend_flags(sub)
 
 
@@ -505,8 +528,9 @@ def _cmd_eval(args, settings: Settings) -> int:
     configs = _prompt_configs(settings, techniques)
     models = args.models or [settings.model]
     backends = [make_backend(replace(settings, model=model)) for model in models]
+    workers = _workers(args, backends)
     with _naming(args.corpus):
-        rows = evaluate_corpus(corpus, configs, backends, max_workers=args.workers)
+        rows = evaluate_corpus(corpus, configs, backends, max_workers=workers)
     print(render_eval_table(rows), end="")
     if args.json_out:
         write_text_atomic(args.json_out, eval_rows_to_json(rows))

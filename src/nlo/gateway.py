@@ -121,13 +121,15 @@ class Backend(Protocol):
     ``temperature`` and ``max_output`` are the settings that every request
     sent through :func:`_ask` carries; the shipped backends default them to
     ``0.0`` and ``None``, and :func:`nlo.config.make_backend` sets them from
-    the configuration.
+    the configuration.  ``in_flight`` is how many calls are worth having
+    open at once: the batch commands' default ``--workers``.
     """
 
     backend_id: str
     model_id: str
     temperature: float
     max_output: int | None
+    in_flight: int
 
     def complete(self, request: GenerationRequest) -> str: ...
 
@@ -149,10 +151,13 @@ def _ask(prompt: ChatPrompt, backend: Backend) -> str:
 
 
 class ScriptedBackend:
-    """Serves a fixed queue of responses, in order.  Thread-safe."""
+    """Serves a fixed queue of responses, in order.  Thread-safe, but
+    concurrent callers take answers in no set order, so it takes one call
+    at a time by default."""
 
     backend_id = "scripted"
     temperature, max_output = 0.0, None
+    in_flight = 1
 
     def __init__(self, responses, model_id: str = "scripted"):
         self.model_id = model_id
@@ -175,6 +180,7 @@ class CallableBackend:
 
     backend_id = "callable"
     temperature, max_output = 0.0, None
+    in_flight = 1  # runs in-process: threads would only contend for it
 
     def __init__(self, fn: Callable[[str], str], model_id: str = "callable"):
         self.model_id = model_id
@@ -277,6 +283,12 @@ class ReplayBackend:
         self.model_id = model_id
         self.record_from = record_from
 
+    @property
+    def in_flight(self) -> int:
+        """The recorded backend's: a miss waits on it.  A strict replay
+        reads local files, one call at a time."""
+        return 1 if self.record_from is None else self.record_from.in_flight
+
     def key_for(self, request: GenerationRequest) -> str:
         return request_key(self.backend_id, self.model_id, request)
 
@@ -323,6 +335,9 @@ class HttpBackend:
 
     backend_id = "http"
     temperature, max_output = 0.0, None
+    # Calls wait on the network, so several overlap well; a server's listen
+    # backlog (socketserver's is 5) bounds how many it accepts at once.
+    in_flight = 4
 
     def __init__(self, config: HttpBackendConfig, post: Callable | None = None):
         self.config = config
@@ -396,7 +411,7 @@ def _socket_post(url, json=None, headers=None, timeout=None):
     import socket
 
     host, port, request = _request_bytes(url, json, headers)
-    sock = socket.create_connection((host, port), timeout)
+    sock = socket.create_connection((_resolvable(host), port), timeout)
     try:
         if scheme == "https":
             import ssl
@@ -409,6 +424,18 @@ def _socket_post(url, json=None, headers=None, timeout=None):
             return _read_reply(stream)
     finally:
         sock.close()
+
+
+def _resolvable(host: str) -> str | bytes:
+    """``host`` as ``socket.getaddrinfo`` should be given it: the bytes the
+    ``idna`` codec would encode an ASCII name to, so that the codec (and
+    ``unicodedata``, which it imports) is never loaded for it; any other
+    name as text, for the codec to encode or refuse."""
+    if host.isascii():
+        labels = host.split(".")
+        if all(0 < len(label) < 64 for label in labels[:-1]) and len(labels[-1]) < 64:
+            return host.encode("ascii")
+    return host
 
 
 _USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]

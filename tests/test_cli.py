@@ -1,13 +1,14 @@
 import io
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -199,13 +200,19 @@ class LocalModel:
     and keeps the headers and JSON body of each request it receives, and its
     request line and raw body in ``requests``.
 
-    Setting ``raw`` sends those bytes verbatim as the whole reply.  With
-    ``tls`` (a certificate and key file) the server speaks HTTPS.
+    Setting ``raw`` sends those bytes verbatim as the whole reply, and
+    setting ``answer`` (a function of the JSON body giving a status and a
+    body) replaces the set reply.  With ``tls`` (a certificate and key file)
+    the server speaks HTTPS.  A ``threaded`` server answers requests
+    concurrently and keeps in ``peak`` the most it had open at once.
     """
 
-    def __init__(self, tls=None):
+    def __init__(self, tls=None, threaded=False):
         self.status, self.body, self.delay, self.raw = 200, b"{}", 0.0, None
+        self.answer = None
         self.received, self.requests = [], []
+        self.open = self.peak = 0
+        lock = threading.Lock()
         model = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -213,6 +220,16 @@ class LocalModel:
                 pass
 
             def do_POST(self):
+                with lock:
+                    model.open += 1
+                    model.peak = max(model.peak, model.open)
+                try:
+                    self.reply()
+                finally:
+                    with lock:
+                        model.open -= 1
+
+            def reply(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 model.received.append((self.headers, json.loads(body)))
                 model.requests.append((self.requestline, body))
@@ -220,12 +237,16 @@ class LocalModel:
                 if model.raw is not None:
                     self.wfile.write(model.raw)
                     return
-                self.send_response(model.status)
-                self.send_header("Content-Length", str(len(model.body)))
+                status, reply = model.status, model.body
+                if model.answer is not None:
+                    status, reply = model.answer(json.loads(body))
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(reply)))
                 self.end_headers()
-                self.wfile.write(model.body)
+                self.wfile.write(reply)
 
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        server = ThreadingHTTPServer if threaded else HTTPServer
+        self.server = server(("127.0.0.1", 0), Handler)
         if tls:
             import ssl
 
@@ -681,6 +702,27 @@ class TestTransport:
         assert len(FixtureStore(tmp_path / "store").keys()) == 1
 
 
+def test_live_call_to_an_ascii_host_loads_no_idna_codec(tmp_path, sample_file, local_model):
+    # getaddrinfo encodes a str host with the idna codec, whose first use
+    # imports encodings.idna, stringprep and unicodedata.
+    local_model.body = GEN_REPLY
+    config = http_config(tmp_path, local_model.url)
+    argv = ["--config", str(config), "gen", "--no-sidecar", str(sample_file)]
+    modules = ("encodings.idna", "stringprep", "unicodedata")
+    code = (
+        "import json, sys\nfrom nlo.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=cli_env(NLO_TEST_KEY="sekrit"), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
+    assert len(local_model.received) == 1
+
+
 class TestRenderExtractCheck:
     def seed(self, sample_file):
         unit = SourceUnit.from_text(sample_file.read_text())
@@ -1122,6 +1164,105 @@ class TestTriage:
         self.seed_triage(path, store_dir)
         argv = ["triage", str(path), "--fixtures", str(store_dir)]
         assert run(capsys, argv) == run(capsys, argv)
+
+
+def function_source(n: int) -> str:
+    return f"int function_{n}(int a) {{\n  return a + {n};\n}}\n"
+
+
+def triage_text(n: int) -> str:
+    """A triage answer for ``function_<n>``: its score and summary name it."""
+    notes = "<None>" if n % 4 == 0 else f"Line 2: Adds {n}."
+    return f"Function {n} adds {n}.\n\nSuspicion score:\n{n % 4}\n\nNotes:\n{notes}"
+
+
+def triage_answer(payload):
+    """Answer the function a triage prompt asks about (its last named one,
+    after the examples), taking longer for earlier functions so that later
+    answers come back first; ``function_3`` gets HTTP 503."""
+    n = int(re.findall(r"function_(\d+)", payload["prompt"])[-1])
+    time.sleep(0.005 * (8 - n))
+    if n == 3:
+        return 503, b"overloaded"
+    return 200, json.dumps({"text": triage_text(n)}).encode("utf-8")
+
+
+class TestTriageWorkers:
+    """``triage DIR`` overlaps its calls to a remote model by default and
+    prints, byte for byte, what one call at a time prints."""
+
+    @pytest.fixture
+    def model(self, monkeypatch, no_proxy):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        model = LocalModel(threaded=True)
+        model.answer = triage_answer
+        yield model
+        model.close()
+
+    def functions(self, tmp_path, numbers, empty=()):
+        directory = tmp_path / "functions"
+        directory.mkdir()
+        for n in numbers:
+            text = "" if n in empty else function_source(n)
+            (directory / f"f{n}.c").write_text(text, encoding="utf-8")
+        return directory
+
+    def triage(self, capsys, tmp_path, model, directory, *flags):
+        config = http_config(tmp_path, model.url)
+        return run(capsys, ["--config", str(config), "triage", str(directory), *flags])
+
+    @pytest.mark.parametrize(
+        "numbers, empty, code, printed",
+        [
+            ([0, 1, 2, 4, 5, 6, 7], (), 0, 8),
+            ([0, 1, 2, 4, 5, 6, 7], (4,), 1, 3),
+            ([0, 1, 2, 3, 4, 5, 6, 7], (), 3, 3),
+        ],
+        ids=["all-answered", "empty-file-in-the-middle", "failed-call-in-the-middle"],
+    )
+    def test_default_prints_what_one_worker_prints(
+        self, capsys, tmp_path, model, numbers, empty, code, printed
+    ):
+        directory = self.functions(tmp_path, numbers, empty)
+        overlapped = self.triage(capsys, tmp_path, model, directory)
+        sequential = self.triage(capsys, tmp_path, model, directory, "--workers", "1")
+        assert overlapped == sequential
+        assert overlapped[0] == code
+        records = [json.loads(line) for line in overlapped[1].splitlines()]
+        assert len(records) == printed
+        for n, record in zip(numbers, records):
+            assert record["path"] == str(directory / f"f{n}.c")
+            assert record["summary"] == f"Function {n} adds {n}."
+        if empty:
+            assert overlapped[2] == f"nlo: {directory / 'f4.c'}: cannot number an empty unit\n"
+        if code == 3:
+            assert overlapped[2] == "nlo: backend error: backend returned HTTP 503\n"
+
+    @pytest.mark.parametrize("record", [False, True], ids=["http", "replay-record"])
+    def test_remote_default_overlaps_calls(self, capsys, tmp_path, model, record):
+        directory = self.functions(tmp_path, [0, 1, 2, 4, 5, 6, 7, 8])
+        store = ["--backend", "replay", "--record", "--fixtures", str(tmp_path / "store")]
+        flags = store if record else []
+        code, _out, _err = self.triage(capsys, tmp_path, model, directory, *flags)
+        assert code == 0
+        assert 1 < model.peak <= 4
+
+    def test_one_worker_keeps_one_call_open(self, capsys, tmp_path, model):
+        directory = self.functions(tmp_path, [0, 1, 2, 4])
+        assert self.triage(capsys, tmp_path, model, directory, "--workers", "1")[0] == 0
+        assert model.peak == 1
+
+    def test_responses_file_pairs_answers_with_files_in_order(self, capsys, tmp_path):
+        numbers = [0, 1, 2, 3, 4, 5]
+        directory = self.functions(tmp_path, numbers)
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps([triage_text(n) for n in numbers]), encoding="utf-8")
+        argv = ["triage", str(directory), "--responses-file", str(responses)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert [r["summary"] for r in records] == [f"Function {n} adds {n}." for n in numbers]
+        assert [r["score"] for r in records] == [n % 4 for n in numbers]
 
 
 class TestEval:

@@ -183,6 +183,8 @@ PLAIN = [
     ["split", "--description", "why"],
     ["split", "--workers=2", "d.diff", "--description", "", "--json", "o.json"],
     ["triage", "dir", "--glob", "*.c", "--model", "m", "--backend-id", "b"],
+    ["triage", "dir", "--workers", "2"],
+    ["triage", "--workers=2", "dir", "--record"],
     ["eval", "--corpus", "c", "--technique", "infilling", "--technique", "interleaved",
      "--model-id", "a", "--model-id=b", "--workers", "2"],
     ["gen", "f.py", "--responses-file", "r.json", "--model", "a=b c"],

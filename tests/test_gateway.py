@@ -16,6 +16,7 @@ from nlo.gateway import (
     ReplayBackend,
     ScriptedBackend,
     _request_bytes,
+    _resolvable,
     complete,
     request_key,
     user_prompt,
@@ -468,3 +469,17 @@ class TestRequestBytes:
     def test_folded_header_value_passes_as_http_client_lets_it(self):
         _, _, request = _request_bytes("http://h/", {}, {"X-Long": "a\r\n b"})
         assert b"X-Long: a\r\n b\r\n" in request
+
+
+class TestResolvableHost:
+    """An ASCII host goes to getaddrinfo as the bytes the idna codec gives."""
+
+    @pytest.mark.parametrize(
+        "host", ["127.0.0.1", "localhost", "api.example.com", "::1", "host.", "a" * 63 + ".b"]
+    )
+    def test_an_ascii_name_is_its_idna_encoding(self, host):
+        assert _resolvable(host) == host.encode("idna")
+
+    @pytest.mark.parametrize("host", ["bücher.example", "a..b", ".a", "a" * 64 + ".b", "a" * 64])
+    def test_any_other_name_is_left_to_the_codec(self, host):
+        assert _resolvable(host) == host
