@@ -79,11 +79,13 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
 
 
 def _write_source(path: str, unit: SourceUnit) -> None:
-    """Write ``unit`` over ``path``, ending each line as the file's first line ends."""
+    """Write ``unit`` over ``path``, ending each line as the file's first line
+    ends; the last line ends only if the file's last line did."""
     with open(path, encoding="utf-8", newline="") as source:
-        first = source.readline()
+        first, rest = source.readline(), source.read()
     ending = first[len(first.rstrip("\r\n")) :] or "\n"
-    write_text_atomic(path, ending.join(unit.lines) + ending)
+    last = ending if (rest or first).endswith(("\n", "\r")) else ""
+    write_text_atomic(path, ending.join(unit.lines) + last)
 
 
 @contextmanager

@@ -236,14 +236,31 @@ def _joined(anchor: int, run: list[tuple[str, bool]]) -> OutlineStatement:
 
 def _line_mapping(old_unit: SourceUnit, new_unit: SourceUnit) -> dict[int, int]:
     """Map 1-based old line indices to new ones for aligned lines: unchanged
-    lines, and edited lines paired by position within each replaced run."""
+    lines, and edited lines paired by position within each replaced run.
+
+    The common head and tail pair by position, and the matcher sees only
+    the lines between them: given whole units, it pairs a line with the
+    earliest of its copies, so editing one of two equal lines would move
+    the other's anchor onto it."""
+    old, new = old_unit.lines, new_unit.lines
+    shorter = min(len(old), len(new))
+    head = 0
+    while head < shorter and old[head] == new[head]:
+        head += 1
+    tail = 0
+    while tail < shorter - head and old[-1 - tail] == new[-1 - tail]:
+        tail += 1
+    old_end, new_end = len(old) - tail, len(new) - tail
+    mapping = {i: i for i in range(1, head + 1)}
     matcher = difflib.SequenceMatcher(
-        a=old_unit.lines, b=new_unit.lines, autojunk=False
+        a=old[head:old_end], b=new[head:new_end], autojunk=False
     )
-    mapping: dict[int, int] = {}
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
         if tag in ("equal", "replace"):  # zip stops at the shorter side
-            mapping.update(zip(range(i1 + 1, i2 + 1), range(j1 + 1, j2 + 1)))
+            mapping.update(
+                zip(range(head + i1 + 1, head + i2 + 1), range(head + j1 + 1, head + j2 + 1))
+            )
+    mapping.update(zip(range(old_end + 1, len(old) + 1), range(new_end + 1, len(new) + 1)))
     return mapping
 
 
@@ -252,7 +269,8 @@ def remap_anchors(
 ) -> tuple[Outline, list[OutlineStatement]]:
     """Carry anchors from ``old_unit`` onto ``new_unit``.
 
-    Lines are aligned by a longest-common-subsequence style matching, and
+    Lines are aligned by position in the common head and tail and by a
+    longest-common-subsequence style matching between them, and
     an edited line keeps its place in a run of replaced lines; statements
     anchored on deleted lines, or on lines where an anchor is no
     longer valid (say, now inside a string literal), are dropped and

@@ -96,12 +96,17 @@ class _LineModel:
     first_body_line: int | None  # first non-blank line below signature and docstring
 
 
+def _lf_line_ends(text: str) -> str:
+    r"""``text`` with each ``\r\n`` and ``\r`` line ending written as ``\n``."""
+    if "\r" in text:  # a test for "\r" is cheaper than a search for "\r\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _split_lines(text: str) -> list[str]:
     r"""Lines ended only by ``\n``, ``\r\n`` or ``\r``, as in Python and C (``str.splitlines``
     also ends one at ``\f``, U+2028 and six others); a final ending opens no line."""
-    if "\r" in text:  # a test for "\r" is cheaper than a search for "\r\n"
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = _lf_line_ends(text).split("\n")
     if not lines[-1]:
         lines.pop()
     return lines

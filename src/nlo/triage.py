@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .fewshots import load_triage_examples
 from .gateway import Backend, ChatPrompt, _ask, user_prompt
 from .outline import Outline, OutlineStatement
-from .source_model import SourceUnit, number_lines
+from .source_model import SourceUnit, _lf_line_ends, _split_lines, number_lines
 
 SCORE_MARKER = "\n\nSuspicion score:\n"
 NOTES_MARKER = "\n\nNotes:\n"
@@ -70,11 +70,13 @@ def parse_triage(
 ) -> TriagePrediction:
     """Extract (summary, suspicion score, outline, errors) from a response.
 
-    The text is truncated at the first run of two consecutive blank lines,
+    Line ends follow :func:`~nlo.source_model._split_lines`.  The text is
+    truncated at the first run of two consecutive blank lines,
     split at the score and notes markers, and the notes are parsed as
     ``Line N:`` entries (a range keeps only its first line number), sorted,
     with duplicates dropped keeping the first.
     """
+    response = _lf_line_ends(response)
     if "\n\n\n" in response:
         response = response.split("\n\n\n")[0]
     errors: list[str] = []
@@ -100,7 +102,7 @@ def parse_triage(
 
     pairs: list[tuple[int, str]] = []
     if outline_text != EMPTY_OUTLINE_TOKEN:
-        for line in outline_text.splitlines():
+        for line in _split_lines(outline_text):
             match = _NOTE_LINE.fullmatch(line)
             if not match:
                 errors.append("[malformed outline line]")
@@ -119,7 +121,7 @@ def parse_triage(
     if summary_line_width:
         summary = "\n".join(
             "\n".join(textwrap.wrap(line, width=summary_line_width))
-            for line in summary.splitlines()
+            for line in _split_lines(summary)
         )
 
     return TriagePrediction(

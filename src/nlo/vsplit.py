@@ -15,9 +15,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .errors import DiffParseError, InputError, TopicParseError
 from .fanout import fan_out
@@ -96,7 +95,7 @@ class FileDiff:
     @cached_property
     def _kinds(self) -> tuple[tuple[str, str], ...]:
         """(text, kind) pairs; kinds: file_header, hunk_header, context,
-        added, removed.  ``parse_unified_diff`` fills this in as it parses."""
+        added, removed."""
         out = [
             (f"--- {self.old_path}", "file_header"),
             (f"+++ {self.new_path}", "file_header"),
@@ -119,8 +118,9 @@ class FileDiff:
 
     @cached_property
     def _changed(self) -> tuple[int, ...]:
-        is_changed = map(_CHANGED_KINDS.__contains__, map(itemgetter(1), self._kinds))
-        return tuple(compress(count(1), is_changed))
+        return tuple(
+            i for i, (_, kind) in enumerate(self._kinds, 1) if kind in _CHANGED_KINDS
+        )
 
     def changed_positions(self) -> tuple[int, ...]:
         """1-based positions of added/removed lines within render_lines()."""
@@ -199,11 +199,8 @@ def parse_unified_diff(text: str) -> tuple[FileDiff, ...]:
                 raise DiffParseError("'---' header not followed by '+++'", i + 1)
             new_path = lines[i][4:].split("\t")[0]
             i += 1
-            kinds = [(f"--- {old_path}", "file_header"), (f"+++ {new_path}", "file_header")]
-            hunks, i = _parse_hunks(lines, i, kinds)
-            filediff = FileDiff(old_path=old_path, new_path=new_path, hunks=tuple(hunks))
-            vars(filediff)["_kinds"] = tuple(kinds)  # what the cached property computes
-            files.append(filediff)
+            hunks, i = _parse_hunks(lines, i)
+            files.append(FileDiff(old_path=old_path, new_path=new_path, hunks=tuple(hunks)))
         elif not line.strip() or line.startswith(_SKIPPABLE):
             i += 1
         else:
@@ -222,14 +219,11 @@ _BODY_LINE = {
 }
 
 
-def _parse_hunks(
-    lines: list[str], i: int, kinds: list[tuple[str, str]]
-) -> tuple[list[Hunk], int]:
-    """Parse the hunks from line ``i`` on, appending each rendered line with
-    its kind to ``kinds``; a body line renders as itself (" " when empty)."""
+def _parse_hunks(lines: list[str], i: int) -> tuple[list[Hunk], int]:
+    """Parse the hunks from line ``i`` on; return them and the index after them."""
     hunks: list[Hunk] = []
     n = len(lines)
-    classify, render = _BODY_LINE.get, kinds.append
+    classify = _BODY_LINE.get
     while i < n and lines[i].startswith("@@"):
         match = _HUNK_HEADER.fullmatch(lines[i])
         if match is None:
@@ -239,8 +233,6 @@ def _parse_hunks(
         new_start = int(match.group(3))
         new_len = int(match.group(4)) if match.group(4) is not None else 1
         i += 1
-        header_at = len(kinds)
-        render(None)  # the header, once the hunk is built
         body: list[tuple[str, str]] = []
         keep = body.append
         old_left, new_left = old_len, new_len
@@ -256,7 +248,6 @@ def _parse_hunks(
             if kind is None:
                 continue
             keep((kind, raw[1:]))
-            render((raw or " ", kind))
             old_left -= old_step
             new_left -= new_step
             if old_left < 0 or new_left < 0:
@@ -270,7 +261,6 @@ def _parse_hunks(
             new_len=new_len,
             lines=tuple(body),
         )
-        kinds[header_at] = (hunk.header(), "hunk_header")
         hunks.append(hunk)
     if not hunks:
         raise DiffParseError("file diff contains no hunks", i + 1)
@@ -773,12 +763,9 @@ def _html_report(split: VirtualSplit, cl: ChangeList, slices) -> str:
         )
         for path, section, lines in slices[topic.index]:
             parts.append(f"<p><code>{_escape(path)}</code>: {_escape(section.description)}</p>")
-            # One escape for the whole window: no diff line holds a "\n".
-            texts, flags = zip(*lines) if lines else ((), ())
-            escaped = _escape("\n".join(texts)).split("\n")
             rendered = [
-                f"<span class='muted'>{text}</span>" if muted else text
-                for text, muted in zip(escaped, flags)
+                f"<span class='muted'>{_escape(text)}</span>" if muted else _escape(text)
+                for text, muted in lines
             ]
             parts.append("<pre>" + "\n".join(rendered) + "</pre>")
         parts.append("</details>")

@@ -2,7 +2,7 @@
 
 ``str.splitlines`` also ends a line at eight other characters; none of them
 may split a line of code, a response line or a diff line.  In-place writes
-keep the file's own line ending.
+keep the file's own line ending, and its last line ends only if it did.
 """
 
 import ast
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nlo.cli import main
 from nlo.generation import Constraint, constraint_accepts, parse_interleaved
 from nlo.source_model import SourceUnit, _split_lines, number_lines
+from nlo.triage import parse_triage
 from nlo.vsplit import number_diff, parse_unified_diff, strip_diff_numbering
 
 # Line breaks to str.splitlines, ordinary characters to Python and C.
@@ -123,3 +124,39 @@ def test_gen_in_place_keeps_the_line_ending(capsys, tmp_path, ending):
     code, written = gen_in_place(capsys, tmp_path, text, "3| Return y.")
     assert code == 0
     assert written == text.replace("    return", f"    #* Return y.{ending}    return")
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_parse_triage_reads_crlf_and_cr_as_lf(ending):
+    lf = (
+        "Reads the contacts and posts them to a remote host.\nThen it exits.\n\n"
+        "Suspicion score:\n2\n\nNotes:\n"
+        "Line 3: Sends the contacts\u2028to a remote host.\nLine 5: Exits quietly."
+    )
+    expected = parse_triage(lf, summary_line_width=24)
+    assert parse_triage(lf.replace("\n", ending), summary_line_width=24) == expected
+    assert expected.errors == () and expected.score == 2
+    assert [(s.anchor, s.text) for s in expected.outline] == [
+        (3, "Sends the contacts\u2028to a remote host."),
+        (5, "Exits quietly."),
+    ]
+
+
+NO_FINAL_END = "def add(a, b):\n  return a + b"
+
+
+def test_gen_in_place_keeps_a_missing_final_line_end(capsys, tmp_path):
+    code, written = gen_in_place(capsys, tmp_path, NO_FINAL_END, "2| Add them.")
+    assert code == 0
+    assert written == "def add(a, b):\n  #* Add them.\n  return a + b"
+
+
+def test_extract_then_render_in_place_keep_a_missing_final_line_end(capsys, tmp_path):
+    annotated = CRLF_ANNOTATED.removesuffix(b"\r\n")
+    path = tmp_path / "add.py"
+    path.write_bytes(annotated)
+    assert main(["extract", str(path), "--in-place"]) == 0
+    assert path.read_bytes() == annotated.replace(b"  #* Add the two numbers.\r\n", b"")
+    assert main(["render", str(path), "--in-place"]) == 0
+    assert path.read_bytes() == annotated
+    capsys.readouterr()
