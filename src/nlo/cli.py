@@ -71,11 +71,8 @@ def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
 def _load_unit(path: str, settings: Settings) -> SourceUnit:
     # Config-defined profiles are keyed by file extension; shipped languages
     # fall back to the extension heuristics.
-    registry = settings.profile_registry()
-    text = read_text(path)
-    suffix = Path(path).suffix.lstrip(".")
-    profile = registry.get(suffix) or profile_for_path(path)
-    return SourceUnit.from_text(text, profile=profile)
+    profile = settings.profiles.get(Path(path).suffix[1:]) or profile_for_path(path)
+    return SourceUnit.from_text(read_text(path), profile=profile)
 
 
 def _write_source(path: str, unit: SourceUnit) -> None:
@@ -385,11 +382,11 @@ def _cmd_finish(args, settings: Settings) -> int:
         old_outline = old_record.outline()
     else:
         record, _stale = sidecar_read(args.file)
-        if record.snapshot is None:
+        old_unit = record.snapshot_unit(annotated.profile)
+        if old_unit is None:
             raise NloError(
                 "sidecar has no code snapshot; pass --old or regenerate with 'nlo gen'"
             )
-        old_unit = SourceUnit(lines=record.snapshot, profile=annotated.profile)
         old_outline = record.outline()
     if not has_star_comments:
         current_outline, _ = remap_anchors(old_outline, old_unit, current_unit)

@@ -28,11 +28,14 @@ from .gateway import (
     ScriptedBackend,
 )
 from .generation import TECHNIQUES
-from .source_model import LanguageProfile, PROFILES
+from .source_model import LanguageProfile
 
 DEFAULT_CONFIG_NAME = "nlo.yaml"
 
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+# A ``profiles`` name is the extension it claims, without its dot.
+_EXTENSION = re.compile(r"[^./\\\s]+")
 
 
 class ConfigError(NloError):
@@ -53,12 +56,7 @@ class Settings:
     temperature: float = 0.0
     responses_file: str | None = None  # scripted backend input
     http: dict = field(default_factory=dict)
-    profiles: dict[str, LanguageProfile] = field(default_factory=dict)
-
-    def profile_registry(self) -> dict[str, LanguageProfile]:
-        registry = dict(PROFILES)
-        registry.update(self.profiles)
-        return registry
+    profiles: dict[str, LanguageProfile] = field(default_factory=dict)  # by extension
 
 
 _STRING = (lambda v: isinstance(v, str), "a string")
@@ -124,8 +122,13 @@ def load_settings(path: str | Path | None = None) -> Settings:
     settings.temperature = float(settings.temperature)
     try:
         for entry in raw.get("profiles", []):
+            name = entry["name"]
+            if not isinstance(name, str) or not _EXTENSION.fullmatch(name):
+                raise ConfigError(
+                    f"profiles name must be a file extension without its dot, not {name!r}"
+                )
             profile = LanguageProfile(
-                name=entry["name"],
+                name=name,
                 line_comment_token=entry["line_comment_token"],
                 docstring_rule=entry.get("docstring_rule", "none"),
             )

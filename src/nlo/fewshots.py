@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from importlib import resources
 from pathlib import Path
 
 from .fileio import read_text
@@ -34,7 +33,7 @@ def parse_gold_outline(text: str) -> Outline:
 
 
 def _data_root() -> Path:
-    return Path(str(resources.files("nlo").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def fewshot_set_dir(name_or_path: str) -> Path:

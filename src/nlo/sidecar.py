@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import SidecarError, SidecarVersionError
 from .fileio import read_text, write_text_atomic
 from .outline import Outline, OutlineStatement, validate
-from .source_model import PROFILES, SourceUnit
+from .source_model import LanguageProfile, SourceUnit
 
 SCHEMA_VERSION = 1  # version 1 pins sha256 over LF-joined lines
 
@@ -46,12 +46,10 @@ class SidecarRecord:
             )
         )
 
-    def snapshot_unit(self) -> SourceUnit | None:
+    def snapshot_unit(self, profile: LanguageProfile) -> SourceUnit | None:
+        """The snapshot, read with its file's ``profile``; None if there is none."""
         if self.snapshot is None:
             return None
-        profile = PROFILES.get(self.profile_name)
-        if profile is None:  # a config-defined profile: its syntax is not in the record
-            raise ValueError(f"sidecar profile {self.profile_name!r} is not a shipped profile")
         return SourceUnit(lines=self.snapshot, profile=profile)
 
 
@@ -92,6 +90,44 @@ def sidecar_write(unit: SourceUnit, outline: Outline, source_path: str | Path) -
     return record
 
 
+def _one_line(value) -> bool:
+    return isinstance(value, str) and "\n" not in value and "\r" not in value
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+# Each field of a record (sidecar.schema.json), with its check and the
+# expected wording; a missing ``profile`` or ``verified`` keeps its default.
+_FIELDS = {
+    "source_path": _STRING,
+    "content_hash": _STRING,
+    "profile": _STRING,
+    "statements": (
+        lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+        "a list of objects",
+    ),
+    "snapshot": (
+        lambda v: isinstance(v, list)
+        and all(isinstance(line, str) for line in v)
+        and _one_line("".join(v)),
+        "a list of one-line strings",
+    ),
+}
+_STATEMENT_FIELDS = {
+    "line": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "text": (lambda v: _one_line(v) and v.strip() != "", "a non-blank one-line string"),
+    "verified": (lambda v: type(v) is bool, "true or false"),
+}
+
+
+def _check(fields: dict, table: dict, what: str) -> None:
+    """Raise :class:`SidecarError` for the first key of ``table`` whose value
+    in ``fields`` fails its check."""
+    for key, (valid, expected) in table.items():
+        if key in fields and not valid(fields[key]):
+            raise SidecarError(f"{what} {key} must be {expected}, not {fields[key]!r:.60}")
+
+
 def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
     """Load and re-validate a record; returns it with a staleness flag.
 
@@ -106,33 +142,31 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
         raise SidecarError(f"sidecar record is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or "version" not in document:
         raise SidecarError("sidecar record is missing its version field")
-    if document["version"] != SCHEMA_VERSION:
+    if type(document["version"]) is not int or document["version"] != SCHEMA_VERSION:
         raise SidecarVersionError(
             f"sidecar schema version {document['version']!r} unsupported "
             f"(expected {SCHEMA_VERSION})"
         )
+    _check(document, _FIELDS, "sidecar")
     try:
-        statements = tuple(
-            (int(s["line"]), str(s["text"]), bool(s.get("verified", False)))
-            for s in document["statements"]
-        )
+        for s in document["statements"]:
+            _check(s, _STATEMENT_FIELDS, "sidecar statement")
         record = SidecarRecord(
-            version=document["version"],
-            source_path=str(document["source_path"]),
-            content_hash=str(document["content_hash"]),
-            statements=statements,
-            profile_name=str(document.get("profile", "python")),
+            version=SCHEMA_VERSION,
+            source_path=document["source_path"],
+            content_hash=document["content_hash"],
+            statements=tuple(
+                (s["line"], s["text"], s.get("verified", False))
+                for s in document["statements"]
+            ),
+            profile_name=document.get("profile", "python"),
             snapshot=tuple(document["snapshot"]) if "snapshot" in document else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SidecarError(f"sidecar record is malformed: {exc}") from exc
+    except KeyError as exc:
+        raise SidecarError(f"sidecar record is missing its {exc.args[0]} field") from exc
     anchors = [line for line, _, _ in record.statements]
-    if any(b <= a for a, b in zip(anchors, anchors[1:])) or any(
-        a < 1 for a in anchors
-    ):
+    if any(b <= a for a, b in zip(anchors, anchors[1:])):
         raise SidecarError("sidecar statements violate anchor ordering")
-    if any(not text.strip() for _, text, _ in record.statements):
-        raise SidecarError("sidecar statements contain empty text")
     source = Path(source_path)
     if not source.exists():
         return record, True

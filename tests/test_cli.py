@@ -194,6 +194,38 @@ class TestCustomProfile:
         assert code == 0
         assert out == "1| Set up the board.\n"
 
+    def gen_in_place(self, capsys, tmp_path, name, config_args=()):
+        responses = tmp_path / "r.json"
+        responses.write_text('["1| Set x."]', encoding="utf-8")
+        source = tmp_path / name
+        source.write_text("x = 1\n", encoding="utf-8")
+        argv = [*config_args, "gen", str(source), "--responses-file", str(responses)]
+        code, _, err = run(capsys, [*argv, "--in-place"])
+        return code, err, source.read_text(encoding="utf-8")
+
+    def test_a_shipped_profile_name_is_no_extension(self, capsys, tmp_path):
+        # Only nlo.yaml profiles are keyed by extension; ".c_like" is none of
+        # the C-like extensions, so the file gets the default python profile.
+        code, err, text = self.gen_in_place(capsys, tmp_path, "b.c_like")
+        assert code == 0, err
+        assert text == "#* Set x.\nx = 1\n"
+
+    @pytest.mark.parametrize(("name", "filename"), [(".lsp", "a.lsp"), ("", "Makefile")])
+    def test_a_profile_name_that_is_no_extension_exits_1(
+        self, capsys, tmp_path, name, filename
+    ):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            f"profiles:\n  - name: '{name}'\n    line_comment_token: ';;'\n", encoding="utf-8"
+        )
+        code, err, text = self.gen_in_place(
+            capsys, tmp_path, filename, ["--config", str(config)]
+        )
+        assert code == 1
+        assert err.startswith("nlo: config error: profiles name must be a file extension")
+        assert len(err.splitlines()) == 1
+        assert text == "x = 1\n"
+
 
 class LocalModel:
     """A model server on 127.0.0.1 that answers every POST with one set reply

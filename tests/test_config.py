@@ -1,6 +1,6 @@
 import pytest
 
-from nlo.cli import main
+from nlo.cli import _load_unit, main
 from nlo.config import ConfigError, Settings, load_settings, make_backend
 from nlo.gateway import (
     GenerationRequest,
@@ -10,6 +10,7 @@ from nlo.gateway import (
     request_key,
     user_prompt,
 )
+from nlo.source_model import C_LIKE_PROFILE
 
 
 class TestLoadSettings:
@@ -48,9 +49,11 @@ class TestLoadSettings:
             encoding="utf-8",
         )
         settings = load_settings(config)
-        registry = settings.profile_registry()
-        assert registry["rb"].line_comment_token == "#"
-        assert "python" in registry  # shipped profiles remain
+        (tmp_path / "a.rb").write_text("x = 1\n", encoding="utf-8")
+        (tmp_path / "b.c").write_text("int x;\n", encoding="utf-8")
+        assert _load_unit(str(tmp_path / "a.rb"), settings).profile.name == "rb"
+        # shipped profiles remain
+        assert _load_unit(str(tmp_path / "b.c"), settings).profile == C_LIKE_PROFILE
 
     @pytest.mark.parametrize(
         "text",
@@ -116,6 +119,15 @@ class TestLoadSettings:
         config = tmp_path / "nlo.yaml"
         config.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError):
+            load_settings(config)
+
+    @pytest.mark.parametrize("name", ["''", "'.lsp'", "lisp.lsp", "a/b", "'a\\b'", "'l sp'", "5"])
+    def test_profile_name_must_be_an_extension(self, tmp_path, name):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            f"profiles:\n  - name: {name}\n    line_comment_token: ';;'\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigError, match="profiles name must be a file extension"):
             load_settings(config)
 
     def test_non_mapping_rejected(self, tmp_path):

@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import yaml
+
+import nlo
 from nlo.fewshots import fewshot_set_dir, load_fewshot_set, parse_gold_outline
 from nlo.outline import OutlineStatement
 from nlo.source_model import SourceUnit
@@ -80,3 +87,16 @@ class TestLoadFewshotSet:
         )
         with pytest.raises(FileNotFoundError, match=message):
             load_fewshot_set(str(directory))
+
+
+def test_import_loads_no_importlib_resources():
+    # The shipped sets sit in the package directory, so finding them needs no
+    # importlib.resources. Run without ``site``, which may import it itself.
+    path = [Path(nlo.__file__).resolve().parents[1], Path(yaml.__file__).resolve().parents[1]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    code = "import nlo.cli, sys; print('importlib.resources' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
