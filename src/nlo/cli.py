@@ -377,7 +377,8 @@ def _cmd_finish(args, settings: Settings) -> int:
     has_star_comments = len(annotated.lines) != len(current_unit.lines)
 
     if args.old:
-        old_unit = _load_unit(args.old, settings)
+        # OLD is an earlier copy of FILE, whatever its name: read it alike.
+        old_unit = SourceUnit.from_text(read_text(args.old), profile=annotated.profile)
         old_record, _ = sidecar_read(args.old)
         old_outline = old_record.outline()
     else:

@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .errors import NloError
-from .fileio import read_text
+from .fileio import check_fields, read_text
 from .gateway import (
     Backend,
     FixtureStore,
@@ -76,6 +76,10 @@ _KEYS = {
     "temperature": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number >= 0"),
     "responses_file": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "http": _MAPPING,
+    "profiles": (
+        lambda v: isinstance(v, list) and all(isinstance(entry, dict) for entry in v),
+        "a list of mappings",
+    ),
 }
 
 # The fields of the ``http`` mapping, checked the same way.
@@ -90,13 +94,35 @@ _HTTP_KEYS = {
     "mode": (lambda v: v in ("flat", "chat"), "flat or chat"),
 }
 
+# The fields of one ``profiles`` entry; ``name`` and ``line_comment_token``
+# are required.
+_PROFILE_KEYS = {
+    "name": (
+        lambda v: isinstance(v, str) and _EXTENSION.fullmatch(v),
+        "a file extension without its dot",
+    ),
+    "line_comment_token": (
+        lambda v: isinstance(v, str) and v != "" and not any(c.isspace() for c in v),
+        "a non-empty string without whitespace",
+    ),
+    "docstring_rule": (
+        lambda v: v in ("python_triple_quote", "none"),
+        "python_triple_quote or none",
+    ),
+}
 
-def _check(raw: dict, table: dict, prefix: str = "") -> None:
-    """Raise :class:`ConfigError` for the first key of ``table`` whose value
-    in ``raw`` fails its check."""
-    for key, (valid, expected) in table.items():
-        if key in raw and not valid(raw[key]):
-            raise ConfigError(f"{prefix}{key} must be {expected}, not {raw[key]!r}")
+
+def _profile(entry: dict) -> LanguageProfile:
+    """One ``profiles`` entry as a profile, once its fields are checked."""
+    for key in ("name", "line_comment_token"):
+        if key not in entry:
+            raise ConfigError(f"profiles entry is missing its {key} field")
+    check_fields(entry, _PROFILE_KEYS, ConfigError, "profiles ")
+    return LanguageProfile(
+        name=entry["name"],
+        line_comment_token=entry["line_comment_token"],
+        docstring_rule=entry.get("docstring_rule", "none"),
+    )
 
 
 def load_settings(path: str | Path | None = None) -> Settings:
@@ -114,27 +140,13 @@ def load_settings(path: str | Path | None = None) -> Settings:
         raise ConfigError(f"config file {path} is not valid YAML: {detail}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    _check(raw, _KEYS)
+    check_fields(raw, _KEYS, ConfigError, "")
     for key in _KEYS.keys() & raw.keys():
         setattr(settings, key, raw[key])
-    _check(settings.http, _HTTP_KEYS, "http.")
+    check_fields(settings.http, _HTTP_KEYS, ConfigError, "http.")
     # request_key hashes repr(temperature): a YAML `0` must key like the default 0.0
     settings.temperature = float(settings.temperature)
-    try:
-        for entry in raw.get("profiles", []):
-            name = entry["name"]
-            if not isinstance(name, str) or not _EXTENSION.fullmatch(name):
-                raise ConfigError(
-                    f"profiles name must be a file extension without its dot, not {name!r}"
-                )
-            profile = LanguageProfile(
-                name=name,
-                line_comment_token=entry["line_comment_token"],
-                docstring_rule=entry.get("docstring_rule", "none"),
-            )
-            settings.profiles[profile.name] = profile
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed profiles list: {exc!r}") from exc
+    settings.profiles = {p.name: p for p in map(_profile, raw.get("profiles", []))}
     return settings
 
 

@@ -32,18 +32,17 @@ def parse_gold_outline(text: str) -> Outline:
     return Outline(statements=tuple(OutlineStatement(a, t) for a, t, _ in records))
 
 
-def _data_root() -> Path:
-    return Path(__file__).parent / "data"
+def _set_dir(name_or_path: str, kind: str, noun: str) -> Path:
+    """``name_or_path`` if it is a directory, else the shipped ``kind`` set of
+    that name; ``noun`` names the set when there is neither."""
+    for directory in (Path(name_or_path), Path(__file__).parent / "data" / kind / name_or_path):
+        if directory.is_dir():
+            return directory
+    raise FileNotFoundError(f"no {noun} named {name_or_path!r}")
 
 
 def fewshot_set_dir(name_or_path: str) -> Path:
-    path = Path(name_or_path)
-    if path.is_dir():
-        return path
-    packaged = _data_root() / "fewshots" / name_or_path
-    if packaged.is_dir():
-        return packaged
-    raise FileNotFoundError(f"no few-shot set named {name_or_path!r}")
+    return _set_dir(name_or_path, "fewshots", "few-shot set")
 
 
 def load_fewshot_set(name_or_path: str = DEFAULT_SET) -> tuple[FewShotExample, ...]:
@@ -79,10 +78,7 @@ def _matching_source(outline_name: str, names: list[str]) -> str:
 
 def load_triage_examples(name_or_path: str = DEFAULT_SET) -> tuple[tuple[SourceUnit, str], ...]:
     """Triage demonstrations: (decompiled unit, wire-format prediction) pairs."""
-    path = Path(name_or_path)
-    directory = path if path.is_dir() else _data_root() / "triage" / name_or_path
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no triage example set named {name_or_path!r}")
+    directory = _set_dir(name_or_path, "triage", "triage example set")
     pairs = []
     for pred_path in sorted(directory.glob("*.pred")):
         code_path = pred_path.with_suffix(".code")

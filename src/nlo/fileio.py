@@ -1,4 +1,4 @@
-"""The one way ``nlo`` reads a text file and the one way it writes one."""
+"""The one way ``nlo`` reads a text file, writes one and checks a document's fields."""
 
 import os
 from pathlib import Path
@@ -34,3 +34,12 @@ def read_text(path: str | Path, newline: str | None = None) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def check_fields(fields: dict, table: dict, error: type[Exception], label: str) -> None:
+    """Raise ``error`` for the first key of ``table`` whose value in ``fields``
+    fails its check.  ``table`` maps a key to ``(check, expected wording)``;
+    ``label`` leads the message, which echoes at most 60 characters of the value."""
+    for key, (valid, expected) in table.items():
+        if key in fields and not valid(fields[key]):
+            raise error(f"{label}{key} must be {expected}, not {fields[key]!r:.60}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SidecarError, SidecarVersionError
-from .fileio import read_text, write_text_atomic
+from .fileio import check_fields, read_text, write_text_atomic
 from .outline import Outline, OutlineStatement, validate
 from .source_model import LanguageProfile, SourceUnit
 
@@ -66,28 +66,34 @@ def sidecar_write(unit: SourceUnit, outline: Outline, source_path: str | Path) -
             "refusing to persist an invalid outline: "
             + "; ".join(v.message for v in violations)
         )
-    record = SidecarRecord(
-        version=SCHEMA_VERSION,
-        source_path=str(source_path),
-        content_hash=content_hash(unit),
-        statements=tuple((s.anchor, s.text, s.verified) for s in outline.statements),
-        profile_name=unit.profile.name,
-        snapshot=unit.lines,
-    )
     document = {
-        "version": record.version,
-        "source_path": record.source_path,
-        "content_hash": record.content_hash,
-        "profile": record.profile_name,
+        "version": SCHEMA_VERSION,
+        "source_path": str(source_path),
+        "content_hash": content_hash(unit),
+        "profile": unit.profile.name,
         "statements": [
-            {"line": line, "text": text, "verified": verified}
-            for line, text, verified in record.statements
+            {"line": s.anchor, "text": s.text, "verified": s.verified}
+            for s in outline.statements
         ],
-        "snapshot": list(record.snapshot),
+        "snapshot": list(unit.lines),
     }
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     write_text_atomic(sidecar_path(source_path), text)
-    return record
+    return _record(document)
+
+
+def _record(document: dict) -> SidecarRecord:
+    """The record a sidecar document holds."""
+    return SidecarRecord(
+        version=document["version"],
+        source_path=document["source_path"],
+        content_hash=document["content_hash"],
+        statements=tuple(
+            (s["line"], s["text"], s.get("verified", False)) for s in document["statements"]
+        ),
+        profile_name=document.get("profile", "python"),
+        snapshot=tuple(document["snapshot"]) if "snapshot" in document else None,
+    )
 
 
 def _one_line(value) -> bool:
@@ -120,14 +126,6 @@ _STATEMENT_FIELDS = {
 }
 
 
-def _check(fields: dict, table: dict, what: str) -> None:
-    """Raise :class:`SidecarError` for the first key of ``table`` whose value
-    in ``fields`` fails its check."""
-    for key, (valid, expected) in table.items():
-        if key in fields and not valid(fields[key]):
-            raise SidecarError(f"{what} {key} must be {expected}, not {fields[key]!r:.60}")
-
-
 def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
     """Load and re-validate a record; returns it with a staleness flag.
 
@@ -147,21 +145,11 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
             f"sidecar schema version {document['version']!r} unsupported "
             f"(expected {SCHEMA_VERSION})"
         )
-    _check(document, _FIELDS, "sidecar")
+    check_fields(document, _FIELDS, SidecarError, "sidecar ")
     try:
         for s in document["statements"]:
-            _check(s, _STATEMENT_FIELDS, "sidecar statement")
-        record = SidecarRecord(
-            version=SCHEMA_VERSION,
-            source_path=document["source_path"],
-            content_hash=document["content_hash"],
-            statements=tuple(
-                (s["line"], s["text"], s.get("verified", False))
-                for s in document["statements"]
-            ),
-            profile_name=document.get("profile", "python"),
-            snapshot=tuple(document["snapshot"]) if "snapshot" in document else None,
-        )
+            check_fields(s, _STATEMENT_FIELDS, SidecarError, "sidecar statement ")
+        record = _record(document)
     except KeyError as exc:
         raise SidecarError(f"sidecar record is missing its {exc.args[0]} field") from exc
     anchors = [line for line, _, _ in record.statements]

@@ -15,9 +15,10 @@ import pytest
 
 import nlo
 
+from nlo import cli
 from nlo.cli import main
 from nlo.fewshots import load_fewshot_set, load_triage_examples
-from nlo.gateway import FixtureStore, GenerationRequest, ReplayBackend
+from nlo.gateway import CallableBackend, FixtureStore, GenerationRequest, ReplayBackend
 from nlo.generation import (
     INFILLING_INSTRUCTIONS,
     PromptConfig,
@@ -976,6 +977,34 @@ class TestFinish:
         code, out, err = run(capsys, ["--config", str(config), "finish", str(source), *store])
         assert code == 0, err
         assert "-x = x + 1" in out
+
+    def test_finish_reads_old_with_the_file_profile(self, capsys, tmp_path, monkeypatch):
+        # An old copy named f.lua.orig is FILE's code, so it is read as Lua too.
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            "profiles:\n  - name: lua\n    line_comment_token: '--'\n", encoding="utf-8"
+        )
+        lua = LanguageProfile(name="lua", line_comment_token="--")
+        old = tmp_path / "f.lua.orig"
+        old.write_text("function f(x)\n  local y = x\n  return y\nend\n", encoding="utf-8")
+        old_unit = SourceUnit.from_text(old.read_text(), profile=lua)
+        sidecar_write(old_unit, Outline.of(OutlineStatement(2, "Copy x.")), old)
+        source = tmp_path / "f.lua"
+        source.write_text("function f(x)\n  local y = x + 1\n  return y\nend\n", encoding="utf-8")
+        prompts = []
+
+        def respond(prompt: str) -> str:
+            prompts.append(prompt)
+            code = "function f(x)\n  --* Copy x.\n  local y = x + 1\n  return y\nend\n"
+            return f"Kept.\n```\n{code}```"
+
+        monkeypatch.setattr(cli, "make_backend", lambda settings: CallableBackend(respond))
+        argv = ["--config", str(config), "finish", str(source), "--old", str(old)]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        assert len(prompts) == 1
+        assert prompts[0].count("--* Copy x.") == 2
+        assert "#* Copy x." not in prompts[0]
 
 
 

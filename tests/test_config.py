@@ -230,3 +230,39 @@ class TestMakeBackend:
         settings = Settings(fixtures=str(tmp_path / "store"), record=True)
         with pytest.raises(ConfigError):
             make_backend(settings)
+
+
+class TestFieldMessages:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "profiles:\n  - name: lua\n    line_comment_token: 5\n",
+                "profiles line_comment_token must be a non-empty string without whitespace, not 5",
+            ),
+            ("profiles:\n  - lua\n", "profiles must be a list of mappings, not ['lua']"),
+            (
+                "profiles:\n  - name: lua\n",
+                "profiles entry is missing its line_comment_token field",
+            ),
+            (
+                "profiles:\n  - line_comment_token: '--'\n",
+                "profiles entry is missing its name field",
+            ),
+        ],
+    )
+    def test_malformed_profiles_entry_names_its_field(self, capsys, tmp_path, text, message):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["--config", str(config), "check", "a.py"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"nlo: config error: {message}\n"
+        assert "Error(" not in err
+
+    def test_echoed_value_is_cut_at_60_characters(self, tmp_path):
+        headers = "h" * 200
+        config = tmp_path / "nlo.yaml"
+        config.write_text(f"http: {{headers: {headers}}}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_settings(config)
+        assert str(caught.value) == f"http.headers must be a mapping, not {repr(headers)[:60]}"

@@ -7,7 +7,13 @@ import pytest
 import yaml
 
 import nlo
-from nlo.fewshots import fewshot_set_dir, load_fewshot_set, parse_gold_outline
+from nlo.cli import main
+from nlo.fewshots import (
+    fewshot_set_dir,
+    load_fewshot_set,
+    load_triage_examples,
+    parse_gold_outline,
+)
 from nlo.outline import OutlineStatement
 from nlo.source_model import SourceUnit
 
@@ -100,3 +106,56 @@ def test_import_loads_no_importlib_resources():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+class TestSetResolution:
+    """A set argument is a directory path, else the name of a shipped set."""
+
+    SHIPPED = Path(nlo.__file__).parent / "data"
+
+    def test_a_directory_path_loads_that_directory(self, tmp_path):
+        fewshots, triage = tmp_path / "fewshots", tmp_path / "triage"
+        fewshots.mkdir()
+        triage.mkdir()
+        (fewshots / "one.py").write_text("x = 1\n", encoding="utf-8")
+        (fewshots / "one.outline").write_text("1| Set x.\n", encoding="utf-8")
+        (triage / "one.code").write_text("int f(void);\n", encoding="utf-8")
+        (triage / "one.pred").write_text("score: 1\n", encoding="utf-8")
+        [example] = load_fewshot_set(str(fewshots))
+        assert example.unit == SourceUnit.from_text("x = 1\n")
+        [(unit, prediction)] = load_triage_examples(str(triage))
+        assert unit.lines == ("int f(void);",) and prediction == "score: 1"
+
+    def test_default_names_the_shipped_sets(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert fewshot_set_dir("default") == self.SHIPPED / "fewshots" / "default"
+        assert load_fewshot_set("default") == load_fewshot_set(
+            str(self.SHIPPED / "fewshots" / "default")
+        )
+        assert load_triage_examples("default") == load_triage_examples(
+            str(self.SHIPPED / "triage" / "default")
+        )
+
+    def test_an_unknown_name_raises(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError, match=r"^no few-shot set named 'nope'$"):
+            load_fewshot_set("nope")
+        with pytest.raises(FileNotFoundError, match=r"^no triage example set named 'nope'$"):
+            load_triage_examples("nope")
+
+    @pytest.mark.parametrize(
+        "key, argv, message",
+        [
+            ("fewshot_set", ["gen", "f.py"], "no few-shot set named 'nope'"),
+            ("triage_set", ["triage", "f.c"], "no triage example set named 'nope'"),
+        ],
+    )
+    def test_an_unknown_name_in_the_config_exits_1(
+        self, capsys, tmp_path, monkeypatch, key, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("nlo.yaml").write_text(f"{key}: nope\n", encoding="utf-8")
+        Path("f.py").write_text("x = 1\n", encoding="utf-8")
+        Path("f.c").write_text("int f(void) { return 0; }\n", encoding="utf-8")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"nlo: {message}\n"
