@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
     """One prompt config per technique, sharing one load of the few-shot set."""
     try:
-        few_shots = load_fewshot_set(settings.fewshot_set)
+        few_shots = load_fewshot_set(settings.fewshot_set, settings.profiles)
     except ValueError as exc:  # a malformed or ill-fitting gold outline
         raise ConfigError(f"few-shot set {settings.fewshot_set!r}: {exc}") from exc
     return {
@@ -69,9 +69,7 @@ def _prompt_configs(settings: Settings, techniques) -> dict[str, PromptConfig]:
 
 
 def _load_unit(path: str, settings: Settings) -> SourceUnit:
-    # Config-defined profiles are keyed by file extension; shipped languages
-    # fall back to the extension heuristics.
-    profile = settings.profiles.get(Path(path).suffix[1:]) or profile_for_path(path)
+    profile = profile_for_path(path, settings.profiles)
     return SourceUnit.from_text(read_text(path), profile=profile)
 
 

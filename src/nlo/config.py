@@ -56,7 +56,7 @@ class Settings:
     temperature: float = 0.0
     responses_file: str | None = None  # scripted backend input
     http: dict = field(default_factory=dict)
-    profiles: dict[str, LanguageProfile] = field(default_factory=dict)  # by extension
+    profiles: dict[str, LanguageProfile] = field(default_factory=dict)  # by lower-case extension
 
 
 _STRING = (lambda v: isinstance(v, str), "a string")
@@ -146,7 +146,15 @@ def load_settings(path: str | Path | None = None) -> Settings:
     check_fields(settings.http, _HTTP_KEYS, ConfigError, "http.")
     # request_key hashes repr(temperature): a YAML `0` must key like the default 0.0
     settings.temperature = float(settings.temperature)
-    settings.profiles = {p.name: p for p in map(_profile, raw.get("profiles", []))}
+    settings.profiles = {}
+    for profile in map(_profile, raw.get("profiles", [])):
+        extension = profile.name.lower()  # extensions match in any case
+        other = settings.profiles.get(extension)
+        if other is not None and other.name != profile.name:
+            raise ConfigError(
+                f"profiles names {other.name!r} and {profile.name!r} differ only in case"
+            )
+        settings.profiles[extension] = profile
     return settings
 
 

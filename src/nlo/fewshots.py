@@ -15,7 +15,13 @@ from pathlib import Path
 from .fileio import read_text
 from .generation import FewShotExample, _scan_records
 from .outline import Outline, OutlineStatement
-from .source_model import C_LIKE_PROFILE, SourceUnit, _split_lines, profile_for_path
+from .source_model import (
+    C_LIKE_PROFILE,
+    LanguageProfile,
+    SourceUnit,
+    _split_lines,
+    profile_for_path,
+)
 
 DEFAULT_SET = "default"
 
@@ -45,16 +51,20 @@ def fewshot_set_dir(name_or_path: str) -> Path:
     return _set_dir(name_or_path, "fewshots", "few-shot set")
 
 
-def load_fewshot_set(name_or_path: str = DEFAULT_SET) -> tuple[FewShotExample, ...]:
+def load_fewshot_set(
+    name_or_path: str = DEFAULT_SET, profiles: dict[str, LanguageProfile] | None = None
+) -> tuple[FewShotExample, ...]:
+    """The set's examples, each source file read with the profile its name
+    picks under ``profiles`` (:func:`~nlo.source_model.profile_for_path`)."""
     directory = fewshot_set_dir(name_or_path)
     names = sorted(os.listdir(directory))
     examples = []
     for name in names:
         if not name.endswith(".outline"):
             continue
-        source_path = directory / _matching_source(name, names)
-        profile = profile_for_path(source_path.name)
-        unit = SourceUnit.from_text(read_text(source_path), profile=profile)
+        source_name = _matching_source(name, names)
+        profile = profile_for_path(source_name, profiles)
+        unit = SourceUnit.from_text(read_text(directory / source_name), profile=profile)
         gold = parse_gold_outline(read_text(directory / name))
         examples.append(FewShotExample(unit=unit, gold=gold))
     if not examples:

@@ -24,7 +24,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import BackendError, BudgetExceededError, ReplayMissError
 from .fileio import read_text, write_text_atomic
@@ -64,12 +64,8 @@ class ChatPrompt:
 
     @functools.cached_property
     def _serialized(self) -> str:
-        """Built once per prompt: every backend a prompt goes to keys it."""
-        sections = [f"{ROLE_LABELS['system']}\n{self.system}"]
-        for role, text in self.turns:
-            label = ROLE_LABELS[role]
-            sections.append(f"{label}\n{text}" if text else label)
-        return "\n\n".join(sections)
+        """Built once per prompt, and only for a backend that sends it."""
+        return _serialize(self.system, self.turns)
 
     def messages(self) -> list[dict[str, str]]:
         """Role/content pairs for chat-shaped HTTP APIs; a trailing empty
@@ -80,6 +76,17 @@ class ChatPrompt:
         return [{"role": "system", "content": self.system}] + [
             {"role": role, "content": text} for role, text in turns
         ]
+
+
+def _serialize(system: str, turns: Iterable[tuple[str, str]]) -> str:
+    """The labeled block of :meth:`ChatPrompt.serialize`."""
+    return "\n\n".join([f"{ROLE_LABELS['system']}\n{system}", *_turn_sections(turns)])
+
+
+def _turn_sections(turns: Iterable[tuple[str, str]]) -> Iterator[str]:
+    for role, text in turns:
+        label = ROLE_LABELS[role]
+        yield f"{label}\n{text}" if text else label
 
 
 def user_prompt(
@@ -106,13 +113,32 @@ class GenerationRequest:
 def request_key(backend_id: str, model_id: str, request: GenerationRequest) -> str:
     """Content hash identifying a request for record/replay.
 
-    Keyed on backend id, model id, temperature, and the canonical prompt
-    serialization, so recordings made against different models never collide.
+    The SHA-256 of the UTF-8 bytes of backend id, model id,
+    ``repr(temperature)`` and the canonical prompt serialization, joined by
+    NUL, so recordings made against different models never collide.  The
+    system text and every turn but the last two, which the requests of one
+    prompt config share, are hashed once (:func:`_prefix_digest`); each call
+    hashes only its own last two turns, and no prompt is flattened.
     """
-    payload = "\x00".join(
-        [backend_id, model_id, repr(request.temperature), request.prompt.serialize()]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    prompt = request.prompt
+    turns = prompt.turns
+    digest = _prefix_digest(
+        backend_id, model_id, repr(request.temperature), prompt.system, turns[:-2]
+    ).copy()
+    tail = "\n\n".join(["", *_turn_sections(turns[-2:])])  # each section after a "\n\n"
+    digest.update(tail.encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=128)
+def _prefix_digest(
+    backend_id: str, model_id: str, temperature: str, system: str, turns: tuple
+):
+    """The SHA-256 state over a key's shared head: the ids, the temperature
+    and the serialized system and ``turns`` sections.  Callers ``copy()`` it
+    and never update it, so threads may share it."""
+    head = "\x00".join([backend_id, model_id, temperature, _serialize(system, turns)])
+    return hashlib.sha256(head.encode("utf-8"))
 
 
 class Backend(Protocol):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import os
 import re
 from dataclasses import dataclass
 from itertools import accumulate
@@ -74,13 +75,22 @@ C_LIKE_PROFILE = LanguageProfile(name="c_like", line_comment_token="//")
 PROFILES = {p.name: p for p in (PYTHON_PROFILE, C_LIKE_PROFILE)}
 
 
-def profile_for_path(path: str) -> LanguageProfile:
-    """Pick a shipped profile from a file extension (defaults to python)."""
-    lowered = path.lower()
-    c_like = (".c", ".h", ".cc", ".cpp", ".hpp", ".java", ".js", ".ts", ".go", ".rs")
-    if lowered.endswith(c_like):
-        return C_LIKE_PROFILE
-    return PYTHON_PROFILE
+_C_LIKE_EXTENSIONS = frozenset({"c", "h", "cc", "cpp", "hpp", "java", "js", "ts", "go", "rs"})
+
+
+def profile_for_path(
+    path: str, profiles: dict[str, LanguageProfile] | None = None
+) -> LanguageProfile:
+    """The profile for a file, from its extension taken without its dot and
+    in lower case: the entry of ``profiles`` (configured profiles, keyed by
+    lower-case extension) of that name, else the shipped C-like profile for
+    a C-like extension, else the Python profile.
+
+    This is the one place the package reads a file extension."""
+    extension = os.path.splitext(path)[1][1:].lower()
+    if profiles and extension in profiles:
+        return profiles[extension]
+    return C_LIKE_PROFILE if extension in _C_LIKE_EXTENSIONS else PYTHON_PROFILE
 
 
 @dataclass(frozen=True)
@@ -125,9 +135,9 @@ class SourceUnit:
     profile: LanguageProfile = PYTHON_PROFILE
 
     def __post_init__(self) -> None:
-        for line in self.lines:
-            if "\n" in line or "\r" in line:
-                raise ValueError("source lines must not contain newline characters")
+        joined = "".join(self.lines)  # one scan per unit, not two per line
+        if "\n" in joined or "\r" in joined:
+            raise ValueError("source lines must not contain newline characters")
 
     @classmethod
     def from_text(cls, text: str, profile: LanguageProfile = PYTHON_PROFILE) -> "SourceUnit":

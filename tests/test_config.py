@@ -55,6 +55,33 @@ class TestLoadSettings:
         # shipped profiles remain
         assert _load_unit(str(tmp_path / "b.c"), settings).profile == C_LIKE_PROFILE
 
+    @pytest.mark.parametrize("name", ["lua", "LUA"])
+    def test_a_profile_matches_its_extension_in_any_case(self, tmp_path, name):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            f"profiles:\n  - name: {name}\n    line_comment_token: '--'\n", encoding="utf-8"
+        )
+        settings = load_settings(config)
+        for filename in ("f.lua", "F.LUA", "g.Lua"):
+            (tmp_path / filename).write_text("x = 1\n", encoding="utf-8")
+            assert _load_unit(str(tmp_path / filename), settings).profile.name == name
+        (tmp_path / "F.C").write_text("int x;\n", encoding="utf-8")
+        assert _load_unit(str(tmp_path / "F.C"), settings).profile == C_LIKE_PROFILE
+
+    def test_profile_names_differing_only_in_case_exit_1(self, capsys, tmp_path):
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            "profiles:\n"
+            "  - name: lua\n    line_comment_token: '--'\n"
+            "  - name: LUA\n    line_comment_token: '--'\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError):
+            load_settings(config)
+        assert main(["--config", str(config), "check", "a.lua"]) == 1
+        err = capsys.readouterr().err
+        assert err == "nlo: config error: profiles names 'lua' and 'LUA' differ only in case\n"
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -7,7 +7,9 @@ import pytest
 import yaml
 
 import nlo
+from nlo import cli
 from nlo.cli import main
+from nlo.config import load_settings
 from nlo.fewshots import (
     fewshot_set_dir,
     load_fewshot_set,
@@ -93,6 +95,25 @@ class TestLoadFewshotSet:
         )
         with pytest.raises(FileNotFoundError, match=message):
             load_fewshot_set(str(directory))
+
+    def test_a_configured_profile_reads_its_examples(self, tmp_path):
+        # A Lua example set under a `lua` profile: its demonstrations are
+        # commented with `--`, as `gen` reads a `.lua` file.
+        directory = tmp_path / "lua-set"
+        directory.mkdir()
+        (directory / "a.lua").write_text("local n = 0\nn = n + 1\n", encoding="utf-8")
+        (directory / "a.outline").write_text("1| Start the count.\n2| Count one.\n", encoding="utf-8")
+        config = tmp_path / "nlo.yaml"
+        config.write_text(
+            f"fewshot_set: '{directory}'\n"
+            "profiles:\n  - name: LUA\n    line_comment_token: '--'\n",
+            encoding="utf-8",
+        )
+        settings = load_settings(config)
+        ((_user, reply),) = cli._prompt_configs(settings, ["interleaved"])["interleaved"]._shots
+        assert reply == "```\n-- Start the count.\nlocal n = 0\n-- Count one.\nn = n + 1\n```"
+        (example,) = load_fewshot_set(str(directory), settings.profiles)
+        assert example.unit.profile == settings.profiles["lua"]
 
 
 def test_import_loads_no_importlib_resources():

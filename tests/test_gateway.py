@@ -1,10 +1,14 @@
+import hashlib
 import json
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nlo import cli, gateway
 from nlo.errors import BackendError, BudgetExceededError, ReplayMissError
 from nlo.gateway import (
     CallableBackend,
@@ -21,6 +25,9 @@ from nlo.gateway import (
     request_key,
     user_prompt,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import synth  # noqa: E402  (the benchmark's seeded input generator)
 
 
 def make_request(text="hello", temperature=0.0, max_output=None):
@@ -120,6 +127,190 @@ class TestRequestKey:
         assert request_key("http", "m", make_request("a")) != request_key(
             "http", "m", make_request("b")
         )
+
+
+
+def one_pass_key(backend_id, model_id, request):
+    """The replay key's definition, hashed in one pass: the oracle that the
+    prefix-cached :func:`request_key` must agree with byte for byte."""
+    payload = "\x00".join(
+        [backend_id, model_id, repr(request.temperature), request.prompt.serialize()]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Any text UTF-8 can encode: NUL, newlines and non-ASCII included.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def chat_prompts(draw):
+    """A prompt of 0, 1, 2 or many alternating turns, ending in an empty
+    assistant cue whenever its last turn is an assistant's."""
+    count = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 9)))
+    turns = [("user" if i % 2 == 0 else "assistant", draw(TEXT)) for i in range(count)]
+    if turns and turns[-1][0] == "assistant":
+        turns[-1] = ("assistant", "")
+    return ChatPrompt(draw(TEXT), tuple(turns))
+
+
+@st.composite
+def configs(draw):
+    """What the requests of one prompt config share: ids, temperature,
+    system text and demonstrations."""
+    ids = st.one_of(st.sampled_from(["http", "m", "m\x00", "\x00m", ""]), TEXT)
+    temperature = st.sampled_from([0.0, 0.7, 1.0, 0.1 + 0.2])
+    shots = st.lists(st.tuples(TEXT, TEXT), max_size=3)
+    system = st.sampled_from(["s", ""]) | TEXT
+    return draw(ids), draw(ids), draw(temperature), draw(system), draw(shots)
+
+
+class TestPrefixCachedKey:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(chat_prompts(), min_size=1, max_size=4),
+        st.lists(st.tuples(TEXT, TEXT, st.sampled_from([0.0, 0.7]))),
+    )
+    def test_any_prompt_keys_as_the_one_pass_formula(self, prompts, identities):
+        for prompt in prompts:
+            for backend_id, model_id, temperature in [("http", "m", 0.0), *identities]:
+                request = GenerationRequest(prompt, temperature)
+                assert request_key(backend_id, model_id, request) == one_pass_key(
+                    backend_id, model_id, request
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(configs(), min_size=2, max_size=4), st.data())
+    def test_interleaved_configs_never_share_a_prefix(self, configs, data):
+        # Requests of several configs, in an order drawn at random, so that a
+        # cached prefix state answering for another prefix would show.
+        indices = st.integers(0, len(configs) - 1)
+        for _ in range(12):
+            backend_id, model_id, temperature, system, shots = configs[data.draw(indices)]
+            prompt = user_prompt(system, data.draw(TEXT), shots)
+            request = GenerationRequest(prompt, temperature)
+            assert request_key(backend_id, model_id, request) == one_pass_key(
+                backend_id, model_id, request
+            )
+
+    def test_threads_sharing_a_cached_prefix_get_the_sequential_keys(self):
+        shots = [(f"def f{i}(): ✓", f"{i}| Return ✓.") for i in range(8)]
+        requests = [
+            GenerationRequest(user_prompt("Outline ✓", f"x = {i}", shots)) for i in range(64)
+        ]
+        expected = [one_pass_key("http", "m", request) for request in requests]
+        assert request_key("http", "m", requests[0]) == expected[0]  # caches the prefix
+        hits = gateway._prefix_digest.cache_info().hits
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def work(index):
+            barrier.wait()
+            results[index] = [request_key("http", "m", request) for request in requests]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected] * 8
+        assert gateway._prefix_digest.cache_info().hits - hits == 8 * 64
+
+    def test_recording_through_a_callable_serializes_each_prompt_once(
+        self, tmp_path, monkeypatch
+    ):
+        prompts = [user_prompt("record ✓", f"u{i}", [("q", "a")]) for i in range(5)]
+        seen = []
+        recorder = ReplayBackend(
+            FixtureStore(tmp_path),
+            model_id="m",
+            record_from=CallableBackend(lambda text: seen.append(text) or "r"),
+        )
+        # Hash the shared prefix first, so only the recorded prompts count.
+        recorder.key_for(GenerationRequest(user_prompt("record ✓", "warm", [("q", "a")])))
+        calls = []
+        serialize = gateway._serialize
+        monkeypatch.setattr(
+            gateway, "_serialize", lambda *args: calls.append(args) or serialize(*args)
+        )
+        for prompt in prompts:
+            assert recorder.complete(GenerationRequest(prompt)) == "r"
+        assert len(calls) == len(prompts)
+        assert seen == [prompt.serialize() for prompt in prompts]
+
+
+class OnePassRecorder(ReplayBackend):
+    """A recording backend keyed by the one-pass formula, as stores were
+    recorded before the prefix cache."""
+
+    def key_for(self, request):
+        return one_pass_key(self.backend_id, self.model_id, request)
+
+
+def batch_commands(root):
+    """Small batch-replay inputs (``eval`` over two models and techniques,
+    ``triage`` of a directory, ``split`` of a diff) and their argvs."""
+    (root / "corpus").mkdir()
+    (root / "decompiled").mkdir()
+    for i, text in enumerate(synth.python_functions(5, "keys", 6)):
+        (root / "corpus" / f"f_{i}.py").write_text(text, encoding="utf-8")
+    for i, text in enumerate(synth.c_functions(5, 4)):
+        (root / "decompiled" / f"m_{i}.c").write_text(text, encoding="utf-8")
+    (root / "change.diff").write_text(synth.unified_diff(5, "keys", 3, 8)[0], encoding="utf-8")
+    store = ["--fixtures", str(root / "store")]
+    return {
+        "eval": [
+            "eval", "--corpus", str(root / "corpus"), "--technique", "interleaved",
+            "--technique", "infilling", "--model-id", "m-alpha", "--model-id", "m-beta", *store,
+        ],
+        "triage": ["triage", str(root / "decompiled"), *store],
+        "split": ["split", str(root / "change.diff"), "--description", "Tidy up", *store],
+    }
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def record(capsys, monkeypatch, argv, recorder_class):
+    """Run ``argv`` with every model call answered by the synthetic model
+    and recorded by a ``recorder_class`` backend."""
+    model = CallableBackend(synth.SyntheticModel(5, ("minor", "major")))
+
+    def recorder(settings):
+        store = FixtureStore(settings.fixtures)
+        return recorder_class(store, settings.backend_id, settings.model, record_from=model)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "make_backend", recorder)
+        return run_cli(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["eval", "triage", "split"])
+def test_a_store_keyed_in_one_pass_replays_strictly(capsys, tmp_path, monkeypatch, command):
+    argv = batch_commands(tmp_path)[command]
+    recorded = record(capsys, monkeypatch, argv, OnePassRecorder)
+    assert recorded[0] == 0, recorded[2]
+    assert len(FixtureStore(tmp_path / "store")) > 0
+    assert run_cli(capsys, argv) == recorded  # a miss would exit 3
+
+
+def test_a_replayed_eval_flattens_no_prompt(capsys, tmp_path, monkeypatch):
+    argv = batch_commands(tmp_path)["eval"]
+    assert record(capsys, monkeypatch, argv, ReplayBackend)[0] == 0
+    prompts = []
+    replay = ReplayBackend.complete
+
+    def complete(self, request):
+        prompts.append(request.prompt)
+        return replay(self, request)
+
+    monkeypatch.setattr(ReplayBackend, "complete", complete)
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(prompts) == 2 * 2 * 6  # models x techniques x units
+    assert [p for p in prompts if "_serialized" in p.__dict__] == []
 
 
 class TestScriptedBackend:
