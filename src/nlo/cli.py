@@ -73,14 +73,18 @@ def _load_unit(path: str, settings: Settings) -> SourceUnit:
     return SourceUnit.from_text(read_text(path), profile=profile)
 
 
-def _write_source(path: str, unit: SourceUnit) -> None:
-    """Write ``unit`` over ``path``, ending each line as the file's first line
-    ends; the last line ends only if the file's last line did."""
-    with open(path, encoding="utf-8", newline="") as source:
-        first, rest = source.readline(), source.read()
-    ending = first[len(first.rstrip("\r\n")) :] or "\n"
-    last = ending if (rest or first).endswith(("\n", "\r")) else ""
-    write_text_atomic(path, ending.join(unit.lines) + last)
+def _save(path: str, source: SourceUnit | None = None, sidecar=None) -> None:
+    """Write the ``(unit, outline)`` pair ``sidecar`` of FILE ``path``, then ``source``
+    over FILE, each line ending as FILE's first line does and the last only if
+    FILE's last did.  Sidecar first: a failed write leaves FILE as it was."""
+    if sidecar is not None:
+        sidecar_write(*sidecar, path)
+    if source is not None:
+        with open(path, encoding="utf-8", newline="") as old:
+            first, rest = old.readline(), old.read()
+        ending = first[len(first.rstrip("\r\n")) :] or "\n"
+        last = ending if (rest or first).endswith(("\n", "\r")) else ""
+        write_text_atomic(path, ending.join(source.lines) + last)
 
 
 @contextmanager
@@ -284,19 +288,10 @@ def _cmd_gen(args, settings: Settings) -> int:
     if report.has_major():
         return EXIT_PARSE
     if args.in_place:
-        _write_source(args.file, render_interleaved(unit, report.outline))
+        _save(args.file, source=render_interleaved(unit, report.outline))
     elif not args.no_sidecar:
-        sidecar_write(unit, report.outline, args.file)
+        _save(args.file, sidecar=(unit, report.outline))
     return EXIT_OK
-
-
-def _read_fresh_sidecar(path: str):
-    record, stale = sidecar_read(path)
-    if stale:
-        raise NloError(
-            f"sidecar for {path} is stale (source changed); regenerate with 'nlo gen'"
-        )
-    return record
 
 
 def _render_options(sub: argparse.ArgumentParser) -> None:
@@ -309,14 +304,18 @@ def _render_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_render(args, settings: Settings) -> int:
     unit = _load_unit(args.file, settings)
-    record = _read_fresh_sidecar(args.file)
+    record, stale = sidecar_read(args.file)
+    if stale:
+        raise NloError(
+            f"sidecar for {args.file} is stale (source changed); regenerate with 'nlo gen'"
+        )
     outline = record.outline()
     if args.standalone:
         print(render_standalone(unit, outline))
         return EXIT_OK
     rendered = render_interleaved(unit, outline)
     if args.in_place:
-        _write_source(args.file, rendered)
+        _save(args.file, source=rendered)
     else:
         print(rendered.text())
     return EXIT_OK
@@ -336,8 +335,7 @@ def _cmd_extract(args, settings: Settings) -> int:
     unit, outline = extract(annotated)
     print(infill_text(outline))
     if args.in_place:
-        _write_source(args.file, unit)
-        sidecar_write(unit, outline, args.file)
+        _save(args.file, source=unit, sidecar=(unit, outline))
     return EXIT_OK
 
 
@@ -405,11 +403,10 @@ def _cmd_finish(args, settings: Settings) -> int:
         print(result.reasoning, file=sys.stderr)
     print(result.diff)
     if args.apply:
-        new_unit = result.new_unit
+        source = result.new_unit
         if has_star_comments:
-            new_unit = render_interleaved(new_unit, result.new_outline)
-        _write_source(args.file, new_unit)
-        sidecar_write(result.new_unit, result.new_outline, args.file)
+            source = render_interleaved(source, result.new_outline)
+        _save(args.file, source=source, sidecar=(result.new_unit, result.new_outline))
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@
 * File extensions: ``source_model.profile_for_path`` is the one reader of a
   file's extension (``.suffix`` or ``splitext``), so every file ``nlo``
   reads gets its profile by one rule.
+* Saving: ``cli._save`` is the one caller of ``sidecar_write``, so every
+  command that writes FILE and its sidecar writes them in one order.
 """
 
 import ast
@@ -17,6 +19,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlo"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 EXTENSION_READERS = {("source_model.py", "profile_for_path")}
+SIDECAR_WRITERS = {("cli.py", "_save")}
 
 
 def named_nodes(tree: ast.AST, function: str | None = None):
@@ -65,3 +68,31 @@ def test_profile_for_path_is_found():
         if isinstance(node, ast.Attribute) and node.attr == "splitext"
     }
     assert found == EXTENSION_READERS
+
+
+def sidecar_write_calls(path: Path):
+    """(line, enclosing function) of each call of ``sidecar_write`` in ``path``."""
+    for node, function in named_nodes(parse(path)):
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "sidecar_write")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "sidecar_write")
+        ):
+            yield node.lineno, function
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_save_writes_a_sidecar(path):
+    writers = [
+        f"{path.name}:{line}"
+        for line, function in sidecar_write_calls(path)
+        if (path.name, function) not in SIDECAR_WRITERS
+    ]
+    assert writers == []
+
+
+def test_save_is_found():
+    """The allowed writer exists, so the test above cannot pass vacuously."""
+    found = {
+        (path.name, function) for path in MODULES for _line, function in sidecar_write_calls(path)
+    }
+    assert found == SIDECAR_WRITERS
