@@ -38,7 +38,7 @@ from .outline import (
     render_standalone,
     validate,
 )
-from .sidecar import sidecar_path, sidecar_read, sidecar_write
+from .sidecar import _record_code, sidecar_path, sidecar_read, sidecar_write
 from .source_model import SourceUnit, profile_for_path
 from .triage import triage
 from .vsplit import ChangeList, parse_unified_diff, render_split_report, split_changelist
@@ -303,9 +303,10 @@ def _render_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_render(args, settings: Settings) -> int:
-    unit = _load_unit(args.file, settings)
-    record, stale = sidecar_read(args.file)
-    if stale:
+    annotated = _load_unit(args.file, settings)
+    record, _stale = sidecar_read(args.file, annotated.profile)
+    unit = _record_code(record, annotated)  # FILE's code, without the outline it carries
+    if unit is None:
         raise NloError(
             f"sidecar for {args.file} is stale (source changed); regenerate with 'nlo gen'"
         )
@@ -344,11 +345,12 @@ def _check_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_check(args, settings: Settings) -> int:
-    record, stale = sidecar_read(args.file)
-    if stale:
+    record, stale = sidecar_read(args.file, profile_for_path(args.file, settings.profiles))
+    # FILE's code, without the outline it may carry as star comments
+    unit = None if stale else _record_code(record, _load_unit(args.file, settings))
+    if unit is None:
         print(f"stale: {sidecar_path(args.file)} no longer matches the source")
         return EXIT_PARSE
-    unit = _load_unit(args.file, settings)
     violations = validate(record.outline(), unit)
     if violations:
         for violation in violations:

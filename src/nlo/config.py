@@ -134,8 +134,10 @@ def load_settings(path: str | Path | None = None) -> Settings:
             return settings
         path = candidate
     try:
-        raw = yaml.safe_load(read_text(path)) or {}
-    except yaml.YAMLError as exc:
+        # The safe constructor, parsed by libyaml when PyYAML was built with it.
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        raw = yaml.load(read_text(path), Loader=loader) or {}
+    except (yaml.YAMLError, ValueError) as exc:  # a tag's constructor raises ValueError
         detail = " ".join(str(exc).split())  # PyYAML's message spans lines
         raise ConfigError(f"config file {path} is not valid YAML: {detail}") from exc
     if not isinstance(raw, dict):

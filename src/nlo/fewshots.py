@@ -89,13 +89,16 @@ def _matching_source(outline_name: str, names: list[str]) -> str:
 def load_triage_examples(name_or_path: str = DEFAULT_SET) -> tuple[tuple[SourceUnit, str], ...]:
     """Triage demonstrations: (decompiled unit, wire-format prediction) pairs."""
     directory = _set_dir(name_or_path, "triage", "triage example set")
+    names = sorted(os.listdir(directory))
     pairs = []
-    for pred_path in sorted(directory.glob("*.pred")):
-        code_path = pred_path.with_suffix(".code")
-        if not code_path.exists():
-            raise FileNotFoundError(f"missing code file for {pred_path.name}")
-        unit = SourceUnit.from_text(read_text(code_path), profile=C_LIKE_PROFILE)
-        pairs.append((unit, read_text(pred_path).rstrip("\n")))
+    for name in names:
+        if not name.endswith(".pred"):
+            continue
+        code_name = name[: -len("pred")] + "code"
+        if code_name not in names:
+            raise FileNotFoundError(f"missing code file for {name}")
+        unit = SourceUnit.from_text(read_text(directory / code_name), profile=C_LIKE_PROFILE)
+        pairs.append((unit, read_text(directory / name).rstrip("\n")))
     if not pairs:
         raise FileNotFoundError(f"triage example set {name_or_path!r} is empty")
     return tuple(pairs)

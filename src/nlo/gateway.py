@@ -8,15 +8,17 @@ deterministic.
 
 The HTTP adapter posts over a plain socket (:func:`_socket_post`); only
 when the environment sets a proxy for the URL's scheme does a request go
-through ``urllib`` (:func:`_urllib_post`).  A command that reaches a model
-directly therefore loads neither ``http.client`` nor, over ``http://``,
-``ssl``.
+through ``urllib`` (:func:`_urllib_post`).  Over ``http://`` it connects
+through ``_socket``, the C module that ``socket`` wraps, so a command that
+reaches a model directly loads none of ``socket``, ``selectors``, ``ssl``
+and ``http.client``; ``https://`` loads ``socket`` and ``ssl``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -428,16 +430,21 @@ def _socket_post(url, json=None, headers=None, timeout=None):
     When the environment sets a proxy for the URL's scheme
     (``<scheme>_proxy``, either case) the request goes through
     :func:`_urllib_post`, which speaks to proxies and applies ``NO_PROXY``.
-    ``socket`` and ``ssl`` are imported here, so commands that never call a
-    model load neither.
+    Only ``https`` imports ``socket`` and ``ssl``, here, since
+    ``wrap_socket`` needs a ``socket.socket``; ``http`` connects with
+    :func:`_connect`.
     """
     scheme = url.partition(":")[0].lower()
-    if any(value for name, value in os.environ.items() if name.lower() == f"{scheme}_proxy"):
+    proxy = f"{scheme}_proxy"
+    if any(os.environ[name] for name in os.environ if name.lower() == proxy):
         return _urllib_post(url, json=json, headers=headers, timeout=timeout)
-    import socket
-
     host, port, request = _request_bytes(url, json, headers)
-    sock = socket.create_connection((_resolvable(host), port), timeout)
+    if scheme == "https":
+        import socket
+
+        sock = socket.create_connection((_resolvable(host), port), timeout)
+    else:
+        sock = _connect(_resolvable(host), port, timeout)
     try:
         if scheme == "https":
             import ssl
@@ -446,14 +453,49 @@ def _socket_post(url, json=None, headers=None, timeout=None):
             context.set_alpn_protocols(["http/1.1"])  # as http.client offers
             sock = context.wrap_socket(sock, server_hostname=host)
         sock.sendall(request)
-        with sock.makefile("rb") as stream:
+        with io.BufferedReader(_Received(sock)) as stream:
             return _read_reply(stream)
     finally:
         sock.close()
 
 
+def _connect(host: str | bytes, port: int, timeout):
+    """A ``_socket.socket`` connected to ``host``: each address
+    ``getaddrinfo`` gives is tried in turn with ``timeout`` set, and the last
+    one's error is raised, as ``socket.create_connection`` does."""
+    import _socket
+
+    error: OSError = OSError("getaddrinfo returns an empty list")
+    for family, kind, proto, _name, address in _socket.getaddrinfo(
+        host, port, 0, _socket.SOCK_STREAM
+    ):
+        sock = _socket.socket(family, kind, proto)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(address)
+            return sock
+        except OSError as exc:
+            sock.close()
+            error = exc
+    raise error
+
+
+class _Received(io.RawIOBase):
+    """The receiving side of a connected socket as a raw binary stream, for
+    an ``io.BufferedReader`` to read the reply through."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._sock.recv_into(buffer)
+
+
 def _resolvable(host: str) -> str | bytes:
-    """``host`` as ``socket.getaddrinfo`` should be given it: the bytes the
+    """``host`` as ``getaddrinfo`` should be given it: the bytes the
     ``idna`` codec would encode an ASCII name to, so that the codec (and
     ``unicodedata``, which it imports) is never loaded for it; any other
     name as text, for the codec to encode or refuse."""

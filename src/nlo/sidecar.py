@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import SidecarError, SidecarVersionError
+from .errors import DanglingCommentError, SidecarError, SidecarVersionError
 from .fileio import check_fields, read_text, write_text_atomic
-from .outline import Outline, OutlineStatement, validate
-from .source_model import LanguageProfile, SourceUnit
+from .outline import Outline, OutlineStatement, extract, validate
+from .source_model import LanguageProfile, SourceUnit, profile_for_path
 
 SCHEMA_VERSION = 1  # version 1 pins sha256 over LF-joined lines
 
@@ -126,10 +126,15 @@ _STATEMENT_FIELDS = {
 }
 
 
-def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
+def sidecar_read(
+    source_path: str | Path, profile: LanguageProfile | None = None
+) -> tuple[SidecarRecord, bool]:
     """Load and re-validate a record; returns it with a staleness flag.
 
-    Stale means the stored hash no longer matches the current source bytes.
+    Stale means the source no longer holds the code the record was written
+    for: neither its lines nor, if it carries star comments, its lines
+    without them (:func:`_record_code`) hash to the stored hash.  ``profile``
+    reads the comments; by default the one the source's name picks.
     """
     target = sidecar_path(source_path)
     if not target.exists():
@@ -158,5 +163,27 @@ def sidecar_read(source_path: str | Path) -> tuple[SidecarRecord, bool]:
     source = Path(source_path)
     if not source.exists():
         return record, True
-    stale = content_hash(SourceUnit.from_text(read_text(source))) != record.content_hash
-    return record, stale
+    profile = profile or profile_for_path(str(source_path))
+    unit = SourceUnit.from_text(read_text(source), profile=profile)
+    return record, _record_code(record, unit) is None
+
+
+def _record_code(record: SidecarRecord, unit: SourceUnit) -> SourceUnit | None:
+    """The code ``record``'s outline anchors to, as the source ``unit``
+    holds it: ``unit`` itself when it hashes to the record; else, when it
+    carries star comments, ``unit`` without them, provided that code hashes
+    to the record and the comments are the record's statements.  None when
+    the record is stale.  A bare source pays for one hash."""
+    if content_hash(unit) == record.content_hash:
+        return unit
+    prefix = unit.profile.star_prefix
+    if not any(line.lstrip().startswith(prefix) for line in unit.lines):
+        return None
+    try:
+        code, outline = extract(unit)
+    except DanglingCommentError:
+        return None
+    statements = tuple((s.anchor, s.text, s.verified) for s in outline.statements)
+    if content_hash(code) != record.content_hash or statements != record.statements:
+        return None
+    return code

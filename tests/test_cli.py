@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -233,15 +234,19 @@ class LocalModel:
     and keeps the headers and JSON body of each request it receives, and its
     request line and raw body in ``requests``.
 
-    Setting ``raw`` sends those bytes verbatim as the whole reply, and
-    setting ``answer`` (a function of the JSON body giving a status and a
-    body) replaces the set reply.  With ``tls`` (a certificate and key file)
-    the server speaks HTTPS.  A ``threaded`` server answers requests
-    concurrently and keeps in ``peak`` the most it had open at once.
+    Setting ``raw`` sends those bytes verbatim as the whole reply, in writes
+    of ``step`` bytes if that is set; with ``linger`` set the server then
+    keeps the connection open until the client closes it, and then sets the
+    event ``client_closed``.  Setting ``answer`` (a function of the JSON body
+    giving a status and a body) replaces the set reply.  With ``tls`` (a
+    certificate and key file) the server speaks HTTPS.  A ``threaded``
+    server answers requests concurrently and keeps in ``peak`` the most it
+    had open at once.  ``host`` is the loopback address it listens on.
     """
 
-    def __init__(self, tls=None, threaded=False):
+    def __init__(self, tls=None, threaded=False, host="127.0.0.1"):
         self.status, self.body, self.delay, self.raw = 200, b"{}", 0.0, None
+        self.step, self.linger, self.client_closed = None, False, threading.Event()
         self.answer = None
         self.received, self.requests = [], []
         self.open = self.peak = 0
@@ -268,7 +273,15 @@ class LocalModel:
                 model.requests.append((self.requestline, body))
                 time.sleep(model.delay)
                 if model.raw is not None:
-                    self.wfile.write(model.raw)
+                    step = model.step or len(model.raw) or 1
+                    for start in range(0, len(model.raw), step):
+                        self.wfile.write(model.raw[start : start + step])
+                        if model.step:
+                            time.sleep(0.001)  # one write per segment
+                    if model.linger:
+                        self.connection.settimeout(10)
+                        if self.rfile.read() == b"":
+                            model.client_closed.set()
                     return
                 status, reply = model.status, model.body
                 if model.answer is not None:
@@ -279,7 +292,9 @@ class LocalModel:
                 self.wfile.write(reply)
 
         server = ThreadingHTTPServer if threaded else HTTPServer
-        self.server = server(("127.0.0.1", 0), Handler)
+        if ":" in host:
+            server = type("Server6", (server,), {"address_family": socket.AF_INET6})
+        self.server = server((host, 0), Handler)
         if tls:
             import ssl
 
@@ -287,7 +302,8 @@ class LocalModel:
             context.load_cert_chain(*tls)
             self.server.socket = context.wrap_socket(self.server.socket, server_side=True)
         scheme = "https" if tls else "http"
-        self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}/complete"
+        netloc = f"[{host}]" if ":" in host else host
+        self.url = f"{scheme}://{netloc}:{self.server.server_address[1]}/complete"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -519,6 +535,13 @@ class ForwardingProxy:
 
 
 GEN_REPLY = json.dumps({"text": "2| Add the two numbers."}).encode("utf-8")
+FRAMED_REPLIES = {
+    "content-length": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+    % (len(GEN_REPLY), GEN_REPLY),
+    "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
+    b"5;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+    % (GEN_REPLY[:5], len(GEN_REPLY) - 5, GEN_REPLY[5:]),
+}
 
 
 class TestTransport:
@@ -560,10 +583,8 @@ class TestTransport:
     @pytest.mark.parametrize(
         "raw",
         [
-            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(GEN_REPLY), GEN_REPLY),
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n"
-            b"5;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
-            % (GEN_REPLY[:5], len(GEN_REPLY) - 5, GEN_REPLY[5:]),
+            FRAMED_REPLIES["content-length"],
+            FRAMED_REPLIES["chunked"],
             b"HTTP/1.0 200 OK\r\n\r\n%s" % GEN_REPLY,
             b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n\r\n%s" % GEN_REPLY,
         ],
@@ -613,6 +634,65 @@ class TestTransport:
         assert (code, out) == (3, "")
         assert err.startswith("nlo: backend error: request failed:") and message in err
         assert len(local_model.received) == 1  # a redirect is not followed
+
+    @pytest.mark.parametrize("framing", sorted(FRAMED_REPLIES))
+    @pytest.mark.parametrize("delivery", ["one-byte-writes", "kept-open"])
+    def test_a_framed_reply_is_read_whole_as_it_arrives(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy, framing, delivery
+    ):
+        # Kept open, the connection closes only after the client has closed
+        # it: a client that waited for the close would stall until the
+        # server gives up.
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.raw = FRAMED_REPLIES[framing]
+        if delivery == "one-byte-writes":
+            local_model.step = 1
+        else:
+            local_model.linger = True
+        code, out, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        assert (code, out, err) == (0, "2| Add the two numbers.\n", "")
+        if local_model.linger:
+            assert local_model.client_closed.wait(10)
+
+    def test_a_malformed_status_line_leaves_no_open_socket(
+        self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        local_model.raw, local_model.linger = b"HTTQ/1.1 200 OK\r\n\r\n", True
+        code, out, err = self.gen(capsys, tmp_path, sample_file, local_model.url)
+        assert (code, out) == (3, "")
+        assert err.startswith("nlo: backend error: request failed: malformed status line")
+        assert local_model.client_closed.wait(10)
+
+    def test_a_refused_connection_exits_3_naming_the_error(
+        self, capsys, tmp_path, sample_file, monkeypatch, no_proxy
+    ):
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        with socket.socket() as bound:  # bound but not listening: connections are refused
+            bound.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{bound.getsockname()[1]}/complete"
+            code, out, err = self.gen(capsys, tmp_path, sample_file, url)
+        refused = f"[Errno {errno.ECONNREFUSED}] {os.strerror(errno.ECONNREFUSED)}"
+        assert (code, out, err) == (3, "", f"nlo: backend error: request failed: {refused}\n")
+
+    def test_an_ipv6_literal_url_is_reached(
+        self, capsys, tmp_path, sample_file, monkeypatch, no_proxy
+    ):
+        if not socket.has_ipv6:
+            pytest.skip("needs IPv6")
+        try:
+            model = LocalModel(host="::1")
+        except OSError:
+            pytest.skip("needs IPv6 on the loopback interface")
+        monkeypatch.setenv("NLO_TEST_KEY", "sekrit")
+        try:
+            model.body = GEN_REPLY
+            code, out, err = self.gen(capsys, tmp_path, sample_file, model.url)
+        finally:
+            model.close()
+        assert (code, out, err) == (0, "2| Add the two numbers.\n", "")
+        [(headers, _)] = model.received
+        assert headers["Host"] == model.url.split("/")[2]
 
     def test_error_status_with_a_chunked_body_exits_3(
         self, capsys, tmp_path, sample_file, local_model, monkeypatch, no_proxy
@@ -714,12 +794,12 @@ class TestTransport:
         assert len(model.received) == 1
 
     def test_recording_loads_no_urllib_or_ssl(self, tmp_path, sample_file, local_model):
-        # Over http:// with no proxy set, a live call needs socket and nothing heavier.
+        # Over http:// with no proxy set, a live call needs only _socket.
         local_model.body = GEN_REPLY
         config = http_config(tmp_path, local_model.url)
         argv = ["--config", str(config), "gen", "--no-sidecar", "--backend", "replay"]
         argv += ["--record", "--fixtures", str(tmp_path / "store"), str(sample_file)]
-        modules = ("socket", "urllib.request", "http.client", "email.parser", "ssl")
+        modules = ("socket", "selectors", "urllib.request", "http.client", "email.parser", "ssl")
         code = (
             "import json, sys\nfrom nlo.cli import main\n"
             f"code = main({argv!r})\n"
@@ -730,7 +810,7 @@ class TestTransport:
             env=cli_env(NLO_TEST_KEY="sekrit"), timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [0, ["socket"]]
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
         assert len(local_model.received) == 1
         assert len(FixtureStore(tmp_path / "store").keys()) == 1
 

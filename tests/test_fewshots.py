@@ -17,7 +17,7 @@ from nlo.fewshots import (
     parse_gold_outline,
 )
 from nlo.outline import OutlineStatement
-from nlo.source_model import SourceUnit
+from nlo.source_model import C_LIKE_PROFILE, SourceUnit
 
 
 class TestParseGoldOutline:
@@ -180,3 +180,29 @@ class TestSetResolution:
         Path("f.c").write_text("int f(void) { return 0; }\n", encoding="utf-8")
         assert main(argv) == 1
         assert capsys.readouterr().err == f"nlo: {message}\n"
+
+
+class TestTriageExamples:
+    SHIPPED = Path(nlo.__file__).parent / "data" / "triage" / "default"
+
+    def test_the_shipped_set_is_its_glob_pairs_in_name_order(self):
+        expected = tuple(
+            (
+                SourceUnit.from_text(
+                    pred.with_suffix(".code").read_text(encoding="utf-8"),
+                    profile=C_LIKE_PROFILE,
+                ),
+                pred.read_text(encoding="utf-8").rstrip("\n"),
+            )
+            for pred in sorted(self.SHIPPED.glob("*.pred"))
+        )
+        assert len(expected) > 1
+        assert load_triage_examples("default") == expected
+
+    def test_a_prediction_without_its_code_raises(self, tmp_path):
+        (tmp_path / "a.code").write_text("int f(void);\n", encoding="utf-8")
+        (tmp_path / "a.pred").write_text("score: 1\n", encoding="utf-8")
+        (tmp_path / "b.pred").write_text("score: 2\n", encoding="utf-8")
+        (tmp_path / "c.code.txt").write_text("not a pair\n", encoding="utf-8")
+        with pytest.raises(FileNotFoundError, match=r"^missing code file for b\.pred$"):
+            load_triage_examples(str(tmp_path))

@@ -256,3 +256,69 @@ def test_a_field_of_another_type_exits_2_without_a_traceback(spoiling):
                 assert main([command, str(path)]) == 2
             assert stderr.getvalue().startswith("nlo: sidecar")
             assert len(stderr.getvalue().splitlines()) == 1
+
+
+class TestStarCommentedSource:
+    """A source that carries its own outline as star comments is fresh when
+    its code without them is the record's and the comments are its outline."""
+
+    CODE = "def add(a, b):\n    result = a + b\n    return result\n"
+    ANNOTATED = "def add(a, b):\n    #* Add them.\n    result = a + b\n    return result\n"
+
+    def cli(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_check_reads_fresh_after_extract_and_render(self, capsys, tmp_path):
+        path = tmp_path / "a.py"
+        path.write_text(self.ANNOTATED, encoding="utf-8")
+        assert self.cli(capsys, "extract", str(path), "--in-place")[0] == 0
+        assert path.read_text(encoding="utf-8") == self.CODE
+        assert self.cli(capsys, "render", str(path), "--in-place")[0] == 0
+        assert path.read_text(encoding="utf-8") == self.ANNOTATED
+        assert self.cli(capsys, "check", str(path)) == (0, "ok: 1 statements, fresh\n")
+        assert sidecar_read(path)[1] is False
+        assert self.cli(capsys, "render", str(path)) == (0, self.ANNOTATED)
+        assert self.cli(capsys, "render", str(path), "--standalone") == (
+            0,
+            "def add(a, b):\n- Add them.\n",
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("#* Add them.", "#* Add both."),
+            ("#* Add them.", "#*! Add them."),
+            ("a + b", "b + a"),
+            ("    return result\n", "    return result\n    #* Dangling.\n"),
+            ("    result", "    #* Sum.\n    result"),
+        ],
+        ids=["comment-text", "verified-mark", "code", "dangling", "extra-comment"],
+    )
+    def test_an_edit_to_the_comments_or_the_code_reads_stale(self, capsys, tmp_path, edit):
+        path = tmp_path / "a.py"
+        path.write_text(self.CODE, encoding="utf-8")
+        unit = SourceUnit.from_text(self.CODE)
+        sidecar_write(unit, Outline(statements=(OutlineStatement(2, "Add them."),)), path)
+        path.write_text(self.ANNOTATED.replace(*edit), encoding="utf-8")
+        assert sidecar_read(path)[1] is True
+        code, out = self.cli(capsys, "check", str(path))
+        assert (code, out) == (2, f"stale: {sidecar_path(path)} no longer matches the source\n")
+        assert main(["render", str(path)]) == 2
+
+    def test_comments_are_read_with_the_configured_profile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("nlo.yaml").write_text(
+            "profiles:\n  - name: lua\n    line_comment_token: '--'\n", encoding="utf-8"
+        )
+        lua = LanguageProfile(name="lua", line_comment_token="--")
+        code = "local x = 1\nreturn x\n"
+        sidecar_write(
+            SourceUnit.from_text(code, profile=lua),
+            Outline(statements=(OutlineStatement(2, "Hand x back."),)),
+            "f.lua",
+        )
+        Path("f.lua").write_text("local x = 1\n--* Hand x back.\nreturn x\n", encoding="utf-8")
+        assert self.cli(capsys, "check", "f.lua") == (0, "ok: 1 statements, fresh\n")
+        assert sidecar_read("f.lua", lua)[1] is False
+        assert sidecar_read("f.lua")[1] is True  # read as Python, `--*` is code
